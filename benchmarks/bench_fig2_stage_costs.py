@@ -24,7 +24,8 @@ from repro.chain import EthereumSimulator
 from repro.core import Participant, Strategy
 
 
-def _run_game(dishonest: bool):
+def _signed_game(dishonest: bool):
+    """A betting game through Deploy/Sign, before any deposit."""
     sim = EthereumSimulator()
     alice = Participant(
         account=sim.accounts[0], name="alice",
@@ -35,6 +36,11 @@ def _run_game(dishonest: bool):
     protocol = make_betting_protocol(sim, alice, bob, seed=42, rounds=25)
     deploy_betting(protocol, alice)
     protocol.collect_signatures()
+    return sim, alice, bob, protocol
+
+
+def _run_game(dishonest: bool):
+    sim, alice, bob, protocol = _signed_game(dishonest)
     plan = protocol.betting_plan
     protocol.call_onchain(alice, "deposit", value=plan["stake"],
                           stage_label="submit/challenge")
@@ -104,10 +110,18 @@ def test_fig2_dispute_premium(timed, report):
 
 
 def test_fig2_signature_exchange_is_offchain_only(timed, report):
-    protocol, __ = timed(_run_game, False)
-    # Two participants, one signature envelope each.
+    __, __, __, protocol = timed(_signed_game, False)
+    # Two participants, one signature envelope each.  Counted right
+    # after the exchange: the envelopes expire with their Whisper TTL
+    # once the game's clock moves on to T2.
     envelopes = protocol.bus.peek_all(protocol._signing_topic)
     assert len(envelopes) == 2
+    # No signature went on-chain: Deploy/Sign paid for the deployment
+    # transaction only.
+    deployed = [entry.label for entry in protocol.ledger.entries
+                if entry.stage == "deployed"]
+    assert deployed == ["deploy onChain"]
+    assert protocol.ledger.total() == protocol.ledger.total("deployed")
     report.add("Fig. 2 (four-stage mechanism)",
                "deploy/sign whisper messages", "N", f"{len(envelopes)}",
                "one (v,r,s) envelope per participant")

@@ -5,7 +5,6 @@ the paper) with a ganache-like :class:`EthereumSimulator` facade.
 """
 
 from repro.chain.account import Account
-from repro.chain.admission import BatchSenderRecovery
 from repro.chain.block import Block, BlockHeader
 from repro.chain.blockchain import Blockchain, ChainError
 from repro.chain.contract import (
@@ -15,16 +14,10 @@ from repro.chain.contract import (
     FunctionABI,
 )
 from repro.chain.mempool import Mempool, MempoolError
-from repro.chain.parallel import (
-    BlockApplyResult,
-    BlockApplyStats,
-    ParallelBlockExecutor,
-)
 from repro.chain.processor import (
     InvalidTransaction,
     apply_transaction,
     decode_revert_reason,
-    run_transaction,
 )
 from repro.chain.aggregator import (
     AGGREGATOR_NAME,
@@ -44,12 +37,11 @@ from repro.chain.simulator import (
     SimulatorConfigError,
     TransactionFailed,
 )
-from repro.chain.state import Overlay, RecordingView, WorldState
+from repro.chain.state import WorldState
 from repro.chain.transaction import Transaction, TransactionError
 
 __all__ = [
     "Account",
-    "BatchSenderRecovery",
     "Block",
     "BlockHeader",
     "Blockchain",
@@ -60,13 +52,9 @@ __all__ = [
     "FunctionABI",
     "Mempool",
     "MempoolError",
-    "BlockApplyResult",
-    "BlockApplyStats",
-    "ParallelBlockExecutor",
     "InvalidTransaction",
     "apply_transaction",
     "decode_revert_reason",
-    "run_transaction",
     "AGGREGATOR_NAME",
     "MAX_AGGREGATOR_DEPTH",
     "compile_aggregator",
@@ -82,8 +70,6 @@ __all__ = [
     "SimulatorConfigError",
     "TransactionFailed",
     "WorldState",
-    "Overlay",
-    "RecordingView",
     "Transaction",
     "TransactionError",
 ]

@@ -12,10 +12,8 @@ from typing import Optional
 
 from repro import obs
 from repro.crypto.keys import Address
-from repro.chain.admission import BatchSenderRecovery
 from repro.chain.block import Block, BlockHeader, transactions_root
 from repro.chain.mempool import Mempool
-from repro.chain.parallel import BlockApplyStats, ParallelBlockExecutor
 from repro.chain.processor import InvalidTransaction, apply_transaction
 from repro.chain.receipt import Receipt
 from repro.chain.state import WorldState
@@ -39,26 +37,15 @@ class Blockchain:
                  genesis_timestamp: int = 1_550_000_000,
                  block_gas_limit: int = DEFAULT_BLOCK_GAS_LIMIT,
                  block_interval: int = DEFAULT_BLOCK_INTERVAL,
-                 workers: int = 1,
-                 parallel_processes: Optional[bool] = None,
                  evm_jit: Optional[bool] = None) -> None:
         self.state = WorldState()
         self.mempool = Mempool()
         self.coinbase = coinbase or Address.from_int(0xC0FFEE)
         self.block_gas_limit = block_gas_limit
         self.block_interval = block_interval
-        #: Speculative execution lanes per block; 1 = classic
-        #: sequential apply.  ``parallel_processes`` can force the
-        #: in-process lane fallback (tests) or process pools.
-        self.workers = max(1, int(workers))
-        self._parallel_processes = parallel_processes
         #: Tri-state EVM JIT override threaded into every execution
         #: (None = the module-level default, see ``repro.evm.jit``).
         self.evm_jit = evm_jit
-        self._executor: Optional[ParallelBlockExecutor] = None
-        self._admission: Optional[BatchSenderRecovery] = None
-        #: Aggregate speculation counters over every parallel block.
-        self.parallel_stats = BlockApplyStats()
         self._receipts: dict[bytes, Receipt] = {}
         self._dropped: dict[bytes, str] = {}
         self._store = None
@@ -113,10 +100,6 @@ class Blockchain:
         # Every store commit happens with an empty pool (each round
         # mines everything it queued), so recovery starts empty.
         self.mempool.clear()
-        # The store rewrites world state wholesale, bypassing the
-        # journaled setters the worker replicas sync through — any
-        # live pool would silently diverge, so drop it first.
-        self.close_workers()
         self.state.restore_from_store()
 
     # -- time ---------------------------------------------------------------
@@ -146,22 +129,13 @@ class Blockchain:
 
     def send_transactions(self, transactions: list[Transaction]
                           ) -> list[bytes]:
-        """Queue many signed transactions, recovering senders in a
-        worker pool when the chain runs with ``workers > 1``.
+        """Queue many signed transactions in input order.
 
         Returns the hashes of the admitted transactions; rejected
         ones (bad signatures, underpriced replacements) are silently
         dropped, mirroring what a real node's gossip layer does.
         """
-        verifier = None
-        if self.workers > 1 and len(transactions) > 1:
-            if self._admission is None:
-                self._admission = BatchSenderRecovery(
-                    workers=self.workers,
-                    use_processes=self._parallel_processes,
-                )
-            verifier = self._admission
-        verdicts = self.mempool.add_batch(transactions, verifier=verifier)
+        verdicts = self.mempool.add_batch(transactions)
         return [tx.hash for tx, error in verdicts if error is None]
 
     def block_context(self, timestamp: Optional[int] = None,
@@ -182,53 +156,6 @@ class Blockchain:
 
     # -- block execution -------------------------------------------------------
 
-    def _apply_sequential(self, context: BlockContext,
-                          transactions: list[Transaction]
-                          ) -> list[tuple]:
-        """Classic one-after-another apply; the reference semantics."""
-        executed: list[tuple] = []
-        for tx in transactions:
-            try:
-                outcome = apply_transaction(self.state, context, tx,
-                                            jit=self.evm_jit)
-            except InvalidTransaction as exc:
-                executed.append((tx, None, str(exc)))
-                continue
-            executed.append((tx, outcome, None))
-        return executed
-
-    def _apply_parallel(self, context: BlockContext,
-                        transactions: list[Transaction]) -> list[tuple]:
-        """Speculative lanes + ordered commit; bit-identical results."""
-        if self._executor is None:
-            self._executor = ParallelBlockExecutor(
-                workers=self.workers,
-                use_processes=self._parallel_processes,
-                evm_jit=self.evm_jit,
-            )
-        with obs.span(obs.names.SPAN_CHAIN_PARALLEL_APPLY,
-                      workers=self._executor.workers,
-                      txs=len(transactions)) as apply_span:
-            result = self._executor.apply_block(
-                self.state, context, transactions,
-                block_hashes=[block.hash for block in self.blocks])
-            stats = result.stats
-            apply_span.set_label(
-                conflicts=stats.conflicts,
-                reexecutions=stats.reexecutions,
-            )
-        self.parallel_stats.merge(stats)
-        if obs.enabled():
-            obs.inc(obs.names.METRIC_PARALLEL_LANES, stats.lanes)
-            obs.inc(obs.names.METRIC_PARALLEL_COMMITS,
-                    stats.speculative_commits)
-            obs.inc(obs.names.METRIC_PARALLEL_CONFLICTS, stats.conflicts)
-            obs.inc(obs.names.METRIC_PARALLEL_REEXECUTIONS,
-                    stats.reexecutions)
-            obs.set_gauge(obs.names.METRIC_PARALLEL_CONFLICT_RATE,
-                          stats.conflict_rate)
-        return result.results
-
     def mine_block(self, gas_limit: Optional[int] = None) -> Block:
         """Pack pending transactions into a new block and execute them.
 
@@ -247,21 +174,19 @@ class Blockchain:
                       number=number) as mine_span:
             transactions = self.mempool.pop_batch(
                 block_gas_limit, account_nonce=self.state.get_nonce)
-            if self.workers > 1 and len(transactions) > 1:
-                executed = self._apply_parallel(context, transactions)
-            else:
-                executed = self._apply_sequential(context, transactions)
             receipts: list[Receipt] = []
             included: list[Transaction] = []
             dropped_now: list[tuple[bytes, str]] = []
             cumulative_gas = 0
-            for index, (tx, outcome, reason) in enumerate(executed):
-                if outcome is None:
+            for index, tx in enumerate(transactions):
+                try:
+                    outcome = apply_transaction(self.state, context, tx,
+                                                jit=self.evm_jit)
+                except InvalidTransaction as exc:
                     # Invalid at execution time (e.g. nonce gap): drop,
-                    # record.  The index gap it leaves matches the
-                    # sequential executor's receipts exactly.
-                    self._dropped[tx.hash] = reason
-                    dropped_now.append((tx.hash, reason))
+                    # record, and leave its index unused.
+                    self._dropped[tx.hash] = str(exc)
+                    dropped_now.append((tx.hash, str(exc)))
                     continue
                 cumulative_gas += outcome.gas_used
                 receipt = Receipt(
@@ -312,24 +237,6 @@ class Blockchain:
             self._store.time_offset.set(self._time_offset)
             self.state.persist_dirty()
         return block
-
-    # -- worker lifecycle --------------------------------------------------------
-
-    def close_workers(self) -> None:
-        """Shut down the persistent execution/admission worker pools.
-
-        Idempotent and safe on a ``workers=1`` chain.  Pools are
-        re-created lazily on the next parallel block (or batch
-        admission), so this is a checkpoint, not a mode change —
-        benches and tests call it to release the forked children
-        deterministically instead of leaning on daemon-process
-        cleanup at interpreter exit.
-        """
-        if self._executor is not None:
-            self._executor.close()
-        if self._admission is not None:
-            self._admission.close()
-            self._admission = None
 
     # -- queries ----------------------------------------------------------------
 

@@ -104,32 +104,15 @@ class Mempool:
             obs.set_gauge(obs.names.METRIC_MEMPOOL_DEPTH,
                           len(self._slots))
 
-    def add_batch(self, transactions: list[Transaction],
-                  verifier=None
+    def add_batch(self, transactions: list[Transaction]
                   ) -> list[tuple[Transaction, Optional[str]]]:
-        """Admit many transactions, recovering senders up front.
-
-        ``verifier`` is a
-        :class:`~repro.chain.admission.BatchSenderRecovery` (or
-        anything with its ``recover`` method); when given, every
-        signature is recovered — possibly in parallel worker
-        processes — before any admission runs, so :meth:`add` finds
-        each ``sender`` cache warm.  Admission itself stays strictly
-        sequential in input order, preserving replace-by-gas-price
-        semantics exactly.
+        """Admit many transactions, one :meth:`add` each, in input order.
 
         Returns ``(transaction, error_message_or_None)`` pairs in
         input order — ``None`` means admitted and now in the pool.
         """
-        if verifier is not None:
-            recovered = verifier.recover(transactions)
-        else:
-            recovered = [(tx, None) for tx in transactions]
         verdicts: list[tuple[Transaction, Optional[str]]] = []
-        for tx, error in recovered:
-            if error is not None:
-                verdicts.append((tx, error))
-                continue
+        for tx in transactions:
             try:
                 self.add(tx)
             except MempoolError as exc:

@@ -79,26 +79,15 @@ def validate_transaction(state: WorldState, tx: Transaction) -> None:
         )
 
 
-def run_transaction(state, block: BlockContext, tx: Transaction,
-                    collector=None, jit: Optional[bool] = None
-                    ) -> tuple[TransactionOutcome, dict]:
-    """The pure state-transition function over any state backend.
-
-    ``state`` is anything implementing the :class:`WorldState` surface
-    — the world state itself on the sequential path, or a
-    :class:`~repro.chain.state.RecordingView` when a speculative lane
-    executes the transaction against an overlay.  Unlike
-    :func:`apply_transaction` this neither clears the undo journal nor
-    talks to the global telemetry: the optional ``collector`` (a
-    :class:`~repro.obs.gasprof.TxGasCollector`) receives the EVM steps
-    and is returned untouched so the caller can settle it once the
-    transaction's fate (committed, re-executed, dropped) is known.
-
-    Returns ``(outcome, profile)`` where ``profile`` holds the keyword
-    arguments :func:`repro.obs.end_transaction` needs.
-    """
+def apply_transaction(state: WorldState, block: BlockContext,
+                      tx: Transaction,
+                      jit: Optional[bool] = None) -> TransactionOutcome:
+    """Execute ``tx`` against ``state``, committing all side effects."""
     validate_transaction(state, tx)
     sender = tx.sender
+    # When telemetry is active, the EVM reports every outer-frame step
+    # into a per-transaction opcode-gas collector (see repro.obs).
+    collector = obs.begin_transaction()
 
     # Buy gas up front.
     state.set_balance(
@@ -129,12 +118,6 @@ def run_transaction(state, block: BlockContext, tx: Transaction,
     if result.success:
         refund = min(result.gas_refund, gas_used // 2)
         gas_used -= refund
-    profile = {
-        "execution_gas": result.gas_used,
-        "intrinsic": intrinsic,
-        "refund": refund,
-        "gas_used": gas_used,
-    }
 
     # Reimburse the sender and pay the miner.
     state.add_balance(sender, (tx.gas_limit - gas_used) * tx.gas_price)
@@ -146,7 +129,12 @@ def run_transaction(state, block: BlockContext, tx: Transaction,
         if reason is not None:
             error = f"revert: {reason}"
 
-    outcome = TransactionOutcome(
+    if collector is not None:
+        obs.end_transaction(collector, execution_gas=result.gas_used,
+                            intrinsic=intrinsic, refund=refund,
+                            gas_used=gas_used)
+    state.clear_journal()
+    return TransactionOutcome(
         status=result.success,
         gas_used=gas_used,
         return_data=result.return_data,
@@ -154,19 +142,3 @@ def run_transaction(state, block: BlockContext, tx: Transaction,
         logs=tuple(result.logs),
         error=error,
     )
-    return outcome, profile
-
-
-def apply_transaction(state: WorldState, block: BlockContext,
-                      tx: Transaction,
-                      jit: Optional[bool] = None) -> TransactionOutcome:
-    """Execute ``tx`` against ``state``, committing all side effects."""
-    # When telemetry is active, the EVM reports every outer-frame step
-    # into a per-transaction opcode-gas collector (see repro.obs).
-    collector = obs.begin_transaction()
-    outcome, profile = run_transaction(state, block, tx,
-                                       collector=collector, jit=jit)
-    if collector is not None:
-        obs.end_transaction(collector, **profile)
-    state.clear_journal()
-    return outcome

@@ -88,11 +88,6 @@ class SimulatorConfig:
     genesis_timestamp: int = 1_550_000_000
     block_gas_limit: int = DEFAULT_BLOCK_GAS_LIMIT
     block_interval: int = DEFAULT_BLOCK_INTERVAL
-    #: Speculative execution lanes per mined block (1 = sequential).
-    workers: int = 1
-    #: Force (True) or forbid (False) process-pool speculation; None
-    #: picks processes whenever ``os.fork`` exists and ``workers > 1``.
-    parallel_processes: Optional[bool] = None
     #: Force (True) or forbid (False) the EVM bytecode-to-Python JIT
     #: for this simulator's executions; None keeps the module default
     #: (enabled, honouring ``REPRO_EVM_JIT``).  See ``repro.evm.jit``.
@@ -117,9 +112,6 @@ class SimulatorConfig:
         if self.block_interval <= 0:
             raise SimulatorConfigError(
                 f"block_interval {self.block_interval} must be > 0")
-        if self.workers < 1:
-            raise SimulatorConfigError(
-                f"workers {self.workers} must be >= 1")
         if self.settlement not in _SETTLEMENT_MODES:
             raise SettlementConfigError(
                 f"unknown settlement mode {self.settlement!r}; "
@@ -194,8 +186,6 @@ class EthereumSimulator:
             genesis_timestamp=config.genesis_timestamp,
             block_gas_limit=config.block_gas_limit,
             block_interval=config.block_interval,
-            workers=config.workers,
-            parallel_processes=config.parallel_processes,
             evm_jit=config.evm_jit,
         )
         self.auto_mine = config.auto_mine
@@ -340,26 +330,6 @@ class EthereumSimulator:
             gas_price=gas_price,
         )
         return self.chain.send_transaction(tx)
-
-    def send_signed_transaction(self, transaction: Transaction) -> bytes:
-        """Queue one pre-signed transaction; returns its hash.
-
-        The engine's pipelined rounds sign in worker processes and
-        submit here — admission (including the sender-recovery check)
-        is identical to :meth:`send_transaction`'s.
-        """
-        return self.chain.send_transaction(transaction)
-
-    def send_raw_transactions(self, transactions: list[Transaction]
-                              ) -> list[bytes]:
-        """Queue pre-signed transactions in one admission batch.
-
-        Sender recovery runs through the chain's parallel ECDSA
-        admission pool when ``config.workers > 1``; returns the hashes
-        of the admitted transactions (rejected ones are dropped, as on
-        the gossip path of a real node).
-        """
-        return self.chain.send_transactions(transactions)
 
     def get_receipt(self, tx_hash: bytes) -> Receipt:
         """Receipt of a mined transaction (raises if unknown/pending)."""

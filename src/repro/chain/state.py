@@ -1,23 +1,15 @@
-"""Journaled world state and speculative overlay views.
+"""Journaled world state.
 
 :class:`WorldState` implements the :class:`repro.evm.vm.StateBackend`
 protocol with a change journal so nested message frames can snapshot
 and revert in O(changes) — the semantics the EVM's CALL/CREATE/REVERT
 machinery depends on.  A state-root commitment (hash over the sorted
 account contents) stands in for Ethereum's Merkle-Patricia trie root.
-
-:class:`RecordingView` is the optimistic-concurrency half: a
-copy-on-write overlay over a base ``WorldState`` that records the
-transaction's read set (account fields and storage slots served from
-the base) and buffers every write.  The parallel block executor runs
-one view per speculative lane, then commits overlays in block order —
-a lane whose read set intersects an earlier lane's write set is
-re-executed on the committed state (see ``repro.chain.parallel``).
 """
 
 from __future__ import annotations
 
-from typing import Iterator, Optional
+from typing import Iterator
 
 from repro import obs
 from repro.crypto import rlp
@@ -30,18 +22,12 @@ from repro.chain.account import Account
 #: fault back in from the store on demand.
 DEFAULT_HOT_ACCOUNTS = 1_024
 
-# Journal entry tags (shared by WorldState and RecordingView journals;
-# the first three double as read/write-set key namespaces).
+# Journal entry tags.
 _BALANCE = "balance"
 _NONCE = "nonce"
 _CODE = "code"
 _STORAGE = "storage"
 _CREATE = "create"
-_COINBASE_DELTA = "cbdelta"
-
-#: Sentinel for "this overlay key had no previous value" in view
-#: journals (None is a legal code value, so a distinct marker is used).
-_MISSING = object()
 
 
 class WorldState:
@@ -63,15 +49,6 @@ class WorldState:
         self._dirty: set[bytes] = set()
         self._hot: dict[bytes, None] = {}
         self._hot_limit = DEFAULT_HOT_ACCOUNTS
-        # Diff tracking (inert until begin_diff_tracking): key-grained
-        # record of every account/slot mutated since the last drain,
-        # used to ship incremental replica updates to persistent
-        # worker pools.  Reverted mutations stay marked — the drain
-        # reads *current* values, so a superset of keys is only
-        # redundant, never wrong.
-        self._diff_tracking = False
-        self._diff_accounts: set[bytes] = set()
-        self._diff_slots: set[tuple[bytes, int]] = set()
 
     # -- durable store ---------------------------------------------------
 
@@ -122,8 +99,6 @@ class WorldState:
             account = Account()
             self._accounts[address.value] = account
             self._journal.append((_CREATE, address.value))
-            if self._diff_tracking:
-                self._diff_accounts.add(address.value)
             if self._store is not None:
                 self._note_dirty(address.value)
                 self._touch(address.value)
@@ -151,8 +126,6 @@ class WorldState:
         self._journal.append((_BALANCE, address.value, account.balance))
         self._digests.pop(address.value, None)
         self._note_dirty(address.value)
-        if self._diff_tracking:
-            self._diff_accounts.add(address.value)
         account.balance = value
 
     def add_balance(self, address: Address, delta: int) -> None:
@@ -170,21 +143,16 @@ class WorldState:
         self._journal.append((_NONCE, address.value, account.nonce))
         self._digests.pop(address.value, None)
         self._note_dirty(address.value)
-        if self._diff_tracking:
-            self._diff_accounts.add(address.value)
         account.nonce += 1
 
     def set_nonce(self, address: Address, value: int) -> None:
-        """Overwrite the nonce of ``address`` (overlay commits need the
-        absolute value a speculative lane computed, not an increment)."""
+        """Overwrite the nonce of ``address``."""
         if value < 0:
             raise ValueError("nonce cannot go negative")
         account = self._get_or_create(address)
         self._journal.append((_NONCE, address.value, account.nonce))
         self._digests.pop(address.value, None)
         self._note_dirty(address.value)
-        if self._diff_tracking:
-            self._diff_accounts.add(address.value)
         account.nonce = value
 
     def get_code(self, address: Address) -> bytes:
@@ -199,8 +167,6 @@ class WorldState:
         self._digests.pop(address.value, None)
         self._code_hashes.pop(address.value, None)
         self._note_dirty(address.value)
-        if self._diff_tracking:
-            self._diff_accounts.add(address.value)
         account.code = code
 
     def get_storage(self, address: Address, key: int) -> int:
@@ -217,8 +183,6 @@ class WorldState:
         self._journal.append((_STORAGE, address.value, key, old))
         self._digests.pop(address.value, None)
         self._note_dirty(address.value)
-        if self._diff_tracking:
-            self._diff_slots.add((address.value, key))
         if value == 0:
             account.storage.pop(key, None)
         else:
@@ -262,50 +226,6 @@ class WorldState:
     def clear_journal(self) -> None:
         """Drop undo history — call once per committed transaction."""
         self._journal.clear()
-
-    # -- replica diff shipping -------------------------------------------
-
-    def begin_diff_tracking(self) -> None:
-        """Start recording mutated account/slot keys for replica sync.
-
-        The persistent parallel pool calls this immediately before
-        forking its workers: the children's replicas equal this state
-        at that instant, and every later mutation is captured here so
-        :meth:`drain_state_diff` can ship exactly what changed.
-        """
-        self._diff_tracking = True
-        self._diff_accounts.clear()
-        self._diff_slots.clear()
-
-    def end_diff_tracking(self) -> None:
-        """Stop recording and drop any pending keys."""
-        self._diff_tracking = False
-        self._diff_accounts.clear()
-        self._diff_slots.clear()
-
-    def drain_state_diff(self) -> Optional["StateDiff"]:
-        """Current values of everything mutated since the last drain.
-
-        Values are read *now* (not at mutation time), so interleaved
-        snapshot/revert cycles collapse to their net effect, and an
-        account whose creation was reverted ships as a deletion
-        record.  Returns None when nothing changed.
-        """
-        if not (self._diff_accounts or self._diff_slots):
-            return None
-        accounts: dict[bytes, Optional[tuple]] = {}
-        for raw in self._diff_accounts:
-            account = self._get(Address(raw))
-            accounts[raw] = (
-                None if account is None
-                else (account.balance, account.nonce, account.code)
-            )
-        slots: dict[tuple[bytes, int], int] = {}
-        for raw, key in self._diff_slots:
-            slots[(raw, key)] = self.get_storage(Address(raw), key)
-        self._diff_accounts.clear()
-        self._diff_slots.clear()
-        return StateDiff(accounts=accounts, slots=slots)
 
     # -- inspection ----------------------------------------------------------
 
@@ -457,334 +377,3 @@ class WorldState:
         clone._store = self._store
         clone._hot_limit = self._hot_limit
         return clone
-
-
-class StateDiff:
-    """Incremental replica update: absolute values, not deltas.
-
-    ``accounts`` maps raw addresses to ``(balance, nonce, code)``
-    tuples — or None for accounts that no longer exist (a creation
-    that was reverted after the replica last synced).  ``slots`` maps
-    ``(raw_address, key)`` to the slot's current value (0 = absent).
-    Applying the same diff twice is idempotent by construction.
-    """
-
-    __slots__ = ("accounts", "slots")
-
-    def __init__(self, accounts: dict, slots: dict) -> None:
-        self.accounts = accounts
-        self.slots = slots
-
-    def __getstate__(self) -> tuple:
-        return (self.accounts, self.slots)
-
-    def __setstate__(self, state: tuple) -> None:
-        self.accounts, self.slots = state
-
-    def apply_to(self, state: WorldState) -> None:
-        """Bring a replica up to the drained state (worker side).
-
-        Mutates account records directly — the replica never reverts
-        across a sync point, so no journal entries are needed — and
-        keeps the digest caches coherent for good measure.
-        """
-        for raw, fields in self.accounts.items():
-            if fields is None:
-                state._accounts.pop(raw, None)
-                state._digests.pop(raw, None)
-                state._code_hashes.pop(raw, None)
-                continue
-            account = state._accounts.get(raw)
-            if account is None:
-                account = Account()
-                state._accounts[raw] = account
-            balance, nonce, code = fields
-            if account.code != code:
-                state._code_hashes.pop(raw, None)
-            account.balance = balance
-            account.nonce = nonce
-            account.code = code
-            state._digests.pop(raw, None)
-        for (raw, key), value in self.slots.items():
-            account = state._accounts.get(raw)
-            if account is None:
-                if value == 0:
-                    continue  # deleted account's stale slot key
-                account = Account()
-                state._accounts[raw] = account
-            if value == 0:
-                account.storage.pop(key, None)
-            else:
-                account.storage[key] = value
-            state._digests.pop(raw, None)
-
-
-class RecordingView:
-    """Read/write-set recording overlay over a base :class:`WorldState`.
-
-    Implements the same surface the transaction processor and the EVM
-    use on ``WorldState`` (the :class:`~repro.evm.vm.StateBackend`
-    protocol plus ``add_balance``/``clear_journal``), but never mutates
-    the base: writes land in overlay dictionaries and every value served
-    *from the base* is recorded in :attr:`reads`.  Keys are
-    ``(kind, address_bytes)`` for balance/nonce/code and
-    ``(kind, address_bytes, slot)`` for storage.
-
-    Reads that hit the view's own overlay are *not* recorded — a
-    transaction reading its own write depends on itself, not on the
-    base snapshot — which is exactly the read set optimistic
-    concurrency control validates at commit time.
-
-    The block coinbase is special-cased: ``add_balance(coinbase, fee)``
-    (the miner payment every transaction makes) accumulates a
-    commutative :attr:`coinbase_delta` outside the read/write sets, so
-    fee payments alone never serialise a block.  Any *other* access to
-    the coinbase account's balance sets :attr:`coinbase_touched`, which
-    forces the lane to re-execute sequentially.
-    """
-
-    def __init__(self, base: WorldState,
-                 coinbase: Optional[Address] = None) -> None:
-        self._base = base
-        self._coinbase = coinbase.value if coinbase is not None else None
-        #: Keys served from the base state (the lane's read set).
-        self.reads: set[tuple] = set()
-        self._balances: dict[bytes, int] = {}
-        self._nonces: dict[bytes, int] = {}
-        self._codes: dict[bytes, bytes] = {}
-        self._storage: dict[tuple[bytes, int], int] = {}
-        self._created: set[bytes] = set()
-        #: Commutative miner-fee credit, applied at commit time.
-        self.coinbase_delta = 0
-        #: True when the lane read or overwrote the coinbase balance
-        #: directly; such lanes must be re-executed sequentially.
-        self.coinbase_touched = False
-        self._journal: list[tuple] = []
-
-    # -- account access -------------------------------------------------
-
-    def get_balance(self, address: Address) -> int:
-        """Balance as seen by this lane (overlay, else recorded base)."""
-        raw = address.value
-        if raw == self._coinbase:
-            self.coinbase_touched = True
-            base = self._balances.get(raw)
-            if base is None:
-                base = self._base.get_balance(address)
-            return base + self.coinbase_delta
-        if raw in self._balances:
-            return self._balances[raw]
-        self.reads.add((_BALANCE, raw))
-        return self._base.get_balance(address)
-
-    def set_balance(self, address: Address, value: int) -> None:
-        """Overwrite a balance in the overlay."""
-        if value < 0:
-            raise ValueError("balance cannot go negative")
-        raw = address.value
-        if raw == self._coinbase:
-            self.coinbase_touched = True
-        self._journal.append(
-            (_BALANCE, raw, self._balances.get(raw, _MISSING)))
-        self._balances[raw] = value
-
-    def add_balance(self, address: Address, delta: int) -> None:
-        """Credit ``delta`` wei; coinbase credits become a commutative
-        delta applied at commit, outside the conflict sets."""
-        if address.value == self._coinbase:
-            self._journal.append((_COINBASE_DELTA, self.coinbase_delta))
-            self.coinbase_delta += delta
-            return
-        self.set_balance(address, self.get_balance(address) + delta)
-
-    def get_nonce(self, address: Address) -> int:
-        """Nonce as seen by this lane."""
-        raw = address.value
-        if raw in self._nonces:
-            return self._nonces[raw]
-        self.reads.add((_NONCE, raw))
-        return self._base.get_nonce(address)
-
-    def increment_nonce(self, address: Address) -> None:
-        """Bump the nonce by one (in the overlay)."""
-        new = self.get_nonce(address) + 1
-        raw = address.value
-        self._journal.append(
-            (_NONCE, raw, self._nonces.get(raw, _MISSING)))
-        self._nonces[raw] = new
-
-    def get_code(self, address: Address) -> bytes:
-        """Runtime bytecode as seen by this lane."""
-        raw = address.value
-        if raw in self._codes:
-            return self._codes[raw]
-        self.reads.add((_CODE, raw))
-        return self._base.get_code(address)
-
-    def set_code(self, address: Address, code: bytes) -> None:
-        """Install bytecode in the overlay."""
-        raw = address.value
-        self._journal.append(
-            (_CODE, raw, self._codes.get(raw, _MISSING)))
-        self._codes[raw] = code
-
-    def get_storage(self, address: Address, key: int) -> int:
-        """Storage slot as seen by this lane."""
-        slot = (address.value, key)
-        if slot in self._storage:
-            return self._storage[slot]
-        self.reads.add((_STORAGE, address.value, key))
-        return self._base.get_storage(address, key)
-
-    def set_storage(self, address: Address, key: int, value: int) -> None:
-        """Write a storage slot in the overlay."""
-        slot = (address.value, key)
-        self._journal.append(
-            (_STORAGE, slot[0], key, self._storage.get(slot, _MISSING)))
-        self._storage[slot] = value
-
-    def account_exists(self, address: Address) -> bool:
-        """EIP-161 non-emptiness, derived from the effective fields.
-
-        Reads all three fields so any earlier write that could flip
-        emptiness lands in the read set (conservative but sound).
-        """
-        return bool(self.get_balance(address) or self.get_nonce(address)
-                    or self.get_code(address))
-
-    def create_account(self, address: Address) -> None:
-        """Ensure an account record exists at commit time."""
-        raw = address.value
-        if raw not in self._created:
-            self._journal.append((_CREATE, raw))
-            self._created.add(raw)
-
-    # -- snapshots -------------------------------------------------------
-
-    def snapshot(self) -> int:
-        """Mark the current view-journal position."""
-        return len(self._journal)
-
-    def revert_to(self, snapshot_id: int) -> None:
-        """Undo overlay writes made after ``snapshot_id``.
-
-        The read set is deliberately *not* rolled back: a read made in
-        a reverted frame still influenced control flow, so commit-time
-        validation must see it.
-        """
-        while len(self._journal) > snapshot_id:
-            entry = self._journal.pop()
-            tag = entry[0]
-            if tag == _BALANCE:
-                self._restore(self._balances, entry[1], entry[2])
-            elif tag == _NONCE:
-                self._restore(self._nonces, entry[1], entry[2])
-            elif tag == _CODE:
-                self._restore(self._codes, entry[1], entry[2])
-            elif tag == _STORAGE:
-                __, raw, key, old = entry
-                self._restore(self._storage, (raw, key), old)
-            elif tag == _CREATE:
-                self._created.discard(entry[1])
-            elif tag == _COINBASE_DELTA:
-                self.coinbase_delta = entry[1]
-
-    @staticmethod
-    def _restore(overlay: dict, key, old) -> None:
-        """Put one overlay entry back to its pre-write state."""
-        if old is _MISSING:
-            overlay.pop(key, None)
-        else:
-            overlay[key] = old
-
-    def discard_snapshot(self, snapshot_id: int) -> None:
-        """Accept changes since ``snapshot_id`` (same no-op contract as
-        :meth:`WorldState.discard_snapshot`)."""
-
-    def clear_journal(self) -> None:
-        """Drop the view's undo history (the overlay itself stays)."""
-        self._journal.clear()
-
-    # -- commit ----------------------------------------------------------
-
-    @property
-    def writes(self) -> frozenset:
-        """The lane's write set, derived from the overlay contents."""
-        keys: set[tuple] = set()
-        for raw in self._balances:
-            keys.add((_BALANCE, raw))
-        for raw in self._nonces:
-            keys.add((_NONCE, raw))
-        for raw in self._codes:
-            keys.add((_CODE, raw))
-        for raw, key in self._storage:
-            keys.add((_STORAGE, raw, key))
-        return frozenset(keys)
-
-    def overlay(self) -> "Overlay":
-        """Snapshot the buffered writes as a picklable overlay record."""
-        return Overlay(
-            balances=dict(self._balances),
-            nonces=dict(self._nonces),
-            codes=dict(self._codes),
-            storage=dict(self._storage),
-            created=tuple(self._created),
-            coinbase_delta=self.coinbase_delta,
-        )
-
-    def commit_to(self, base: WorldState) -> None:
-        """Apply the buffered writes (and coinbase delta) to ``base``.
-
-        Goes through the base's journaled setters, so a
-        ``base.snapshot()`` taken before the commit can still revert it
-        and the per-account digest caches stay coherent.
-        """
-        self.overlay().apply_to(base, self._coinbase)
-
-
-class Overlay:
-    """The write buffer of one speculative lane, detached from its view.
-
-    Lane results cross a process boundary in the parallel executor, so
-    this carries plain dictionaries only — no reference to the base
-    state or the view that produced it.
-    """
-
-    __slots__ = ("balances", "nonces", "codes", "storage", "created",
-                 "coinbase_delta")
-
-    def __init__(self, balances: dict[bytes, int],
-                 nonces: dict[bytes, int], codes: dict[bytes, bytes],
-                 storage: dict[tuple[bytes, int], int],
-                 created: tuple[bytes, ...],
-                 coinbase_delta: int) -> None:
-        self.balances = balances
-        self.nonces = nonces
-        self.codes = codes
-        self.storage = storage
-        self.created = created
-        self.coinbase_delta = coinbase_delta
-
-    def __getstate__(self) -> tuple:
-        return (self.balances, self.nonces, self.codes, self.storage,
-                self.created, self.coinbase_delta)
-
-    def __setstate__(self, state: tuple) -> None:
-        (self.balances, self.nonces, self.codes, self.storage,
-         self.created, self.coinbase_delta) = state
-
-    def apply_to(self, base: WorldState,
-                 coinbase: Optional[bytes]) -> None:
-        """Write every buffered value into ``base`` (journaled)."""
-        for raw in self.created:
-            base.create_account(Address(raw))
-        for raw, value in self.balances.items():
-            base.set_balance(Address(raw), value)
-        for raw, value in self.nonces.items():
-            base.set_nonce(Address(raw), value)
-        for raw, code in self.codes.items():
-            base.set_code(Address(raw), code)
-        for (raw, key), value in self.storage.items():
-            base.set_storage(Address(raw), key, value)
-        if self.coinbase_delta and coinbase is not None:
-            base.add_balance(Address(coinbase), self.coinbase_delta)

@@ -106,11 +106,10 @@ class Transaction:
         """Pre-populate the :attr:`sender` cache with a recovered
         address.
 
-        The batch admission pool recovers signatures in worker
-        processes; the worker's :func:`cached_property` result cannot
-        travel back through the frozen dataclass, so the parent seeds
-        the cache explicitly (``cached_property`` stores through
-        ``__dict__``, which ``frozen=True`` does not protect).
+        For callers that already know the sender: ``cached_property``
+        stores through ``__dict__``, which ``frozen=True`` does not
+        protect, so the next :attr:`sender` read skips the ECDSA
+        recovery.
         """
         self.__dict__["sender"] = address
 

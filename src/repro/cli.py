@@ -11,9 +11,8 @@ Usage (also via ``python -m repro``):
     repro trace    {betting,tender,escrow} [--dispute] [--no-jit] \\
                    [--emit-telemetry PATH]
     repro engine   [--sessions N] [--app NAME] [--mining MODE] \\
-                   [--dishonest FRACTION] [--workers N] [--no-jit] \\
-                   [--pipeline] [--compare] [--store PATH] \\
-                   [--resume] [--transport {inproc,net}] \\
+                   [--dishonest FRACTION] [--no-jit] [--compare] \\
+                   [--store PATH] [--resume] [--transport {inproc,net}] \\
                    [--peer HOST:PORT] [--remote-role ROLE] \\
                    [--emit-telemetry PATH]
     repro node     [--listen HOST:PORT]
@@ -275,18 +274,17 @@ def _parse_hostport(value: str, flag: str) -> tuple[str, int]:
 
 
 def _run_fleet(sessions: int, app: str, mining: str,
-               dishonest: float, workers: int = 1,
+               dishonest: float,
                settlement: str = "direct", batch_size: int = 1,
                store: str | None = None, resume: bool = False,
                evm_jit: bool | None = None,
                peer: tuple[str, int] | None = None,
-               remote_roles: tuple[str, ...] = (),
-               pipeline: bool = False):
+               remote_roles: tuple[str, ...] = ()):
     from repro.chain import EthereumSimulator, SimulatorConfig
     from repro.core import SessionEngine, spawn_fleet
 
     config = SimulatorConfig(num_accounts=2, auto_mine=False,
-                             workers=workers, settlement=settlement,
+                             settlement=settlement,
                              batch_size=batch_size, evm_jit=evm_jit)
     if peer is not None:
         # Net transport: the chain lives in a `repro node` process;
@@ -321,8 +319,7 @@ def _run_fleet(sessions: int, app: str, mining: str,
         # rejected instead of silently diverging.
         run_store.extra_config["dishonest"] = str(dishonest)
     engine = SessionEngine(sim, drivers, mining=mining,
-                           store=run_store, resume=resume,
-                           pipeline=pipeline)
+                           store=run_store, resume=resume)
     try:
         metrics = engine.run()
     finally:
@@ -393,12 +390,11 @@ def cmd_engine(args: argparse.Namespace) -> int:
                   f"{args.dishonest:.0%} dishonest:")
             metrics, drivers, sim, engine = _run_fleet(
                 args.sessions, args.app, mode, args.dishonest,
-                workers=args.workers, settlement=args.settlement,
+                settlement=args.settlement,
                 batch_size=args.batch_size, store=args.store,
                 resume=args.resume,
                 evm_jit=False if args.no_jit else None,
-                peer=peer, remote_roles=tuple(args.remote_role),
-                pipeline=args.pipeline)
+                peer=peer, remote_roles=tuple(args.remote_role))
             unsettled = [d.session_id for d in drivers if not d.settled]
             if unsettled:
                 raise SystemExit(
@@ -433,12 +429,6 @@ def cmd_engine(args: argparse.Namespace) -> int:
                       f"{kv_stats['wal_records']} WAL records, "
                       f"{kv_stats['compactions']} compactions"
                       f"{', resumed' if args.resume else ''})")
-            stats = sim.chain.parallel_stats
-            if stats.lanes:
-                print(f"  parallel lanes   : {stats.lanes} "
-                      f"({stats.speculative_commits} speculative, "
-                      f"{stats.reexecutions} re-executed, "
-                      f"conflict rate {stats.conflict_rate:.0%})")
             results.append((metrics, drivers))
     if args.emit_telemetry:
         print(f"telemetry written to {args.emit_telemetry}")
@@ -655,16 +645,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_engine.add_argument("--dishonest", type=float, default=0.0,
                           help="fraction of sessions whose "
                                "representative lies (0..1)")
-    p_engine.add_argument("--workers", type=int, default=1,
-                          help="speculative execution lanes per mined "
-                               "block (1 = sequential apply)")
-    p_engine.add_argument(
-        "--pipeline", action=argparse.BooleanOptionalAction,
-        default=False,
-        help="overlap round k+1's signing/recovery with round k's "
-             "mining on background workers (--no-pipeline to force "
-             "the serial rounds; fingerprints are identical either "
-             "way)")
     p_engine.add_argument("--no-jit", action="store_true",
                           help="force the interpreter for every EVM "
                                "execution (disable the bytecode-to-"

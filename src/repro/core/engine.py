@@ -41,7 +41,6 @@ from typing import Any, Generator, Iterable, Optional, Sequence, Union
 
 from repro import obs
 from repro.chain.simulator import EthereumSimulator, SimAccount
-from repro.chain.transaction import Transaction
 from repro.core.analytics import EngineMetrics
 from repro.obs.metrics import MetricsRegistry
 from repro.core.exceptions import EngineError, SigningError
@@ -373,11 +372,9 @@ class SessionEngine:
                  drivers: Iterable[ProtocolDriver] = (),
                  mining: str = "batch",
                  block_gas_limit: Optional[int] = None,
-                 workers: Optional[int] = None,
                  settlement: Union[SettlementPolicy, str, None] = None,
                  batch_size: Optional[int] = None,
-                 store=None, resume: bool = False,
-                 pipeline: Optional[bool] = None) -> None:
+                 store=None, resume: bool = False) -> None:
         if mining not in ("batch", "per-tx"):
             raise EngineError(
                 f"unknown mining mode {mining!r}; use 'batch' or 'per-tx'")
@@ -404,17 +401,6 @@ class SessionEngine:
             raise EngineError(
                 f"batch size {batch_size} not in [1, {MAX_BATCH_SIZE}]")
         self.batch_size = int(batch_size)
-        if workers is not None:
-            # Late override so callers with an already-built simulator
-            # (the CLI) can opt a fleet into parallel block execution.
-            simulator.chain.workers = max(1, int(workers))
-        # Two-stage round pipeline (--pipeline): sign/recover chunk
-        # k+1 in background workers while chunk k mines.  Off by
-        # default — on a one-core host the overlap is pure overhead.
-        if pipeline is None:
-            pipeline = bool(getattr(config, "pipeline", False))
-        self.pipeline = bool(pipeline)
-        self._pipeline = None  # lazy RoundPipeline
         self.drivers: list[ProtocolDriver] = list(drivers)
         # The engine counts into its own registry (the `engine.*` part
         # of the telemetry contract); EngineMetrics is a façade over
@@ -483,7 +469,6 @@ class SessionEngine:
         started = time.perf_counter()
         with obs.span(obs.names.SPAN_ENGINE_RUN, mining=self.mining,
                       sessions=len(self.drivers),
-                      workers=self.simulator.chain.workers,
                       settlement=self.settlement.name):
             for driver in self.drivers:
                 driver.settlement = self.settlement
@@ -511,47 +496,42 @@ class SessionEngine:
                     self.simulator.chain.persist_bootstrap()
                     self._checkpoint()
 
-            try:
-                while True:
-                    tx_sessions = [
-                        s for s in sessions
-                        if not s.done and isinstance(s.pending, list)
-                    ]
-                    if tx_sessions:
-                        self._mine_round(tx_sessions)
-                        self._checkpoint()
-                        continue
-                    parked = [
-                        s for s in sessions
-                        if not s.done
-                        and isinstance(s.pending, WaitForBatch)
-                    ]
-                    waiting = [
-                        s for s in sessions
-                        if not s.done and isinstance(s.pending, WaitUntil)
-                    ]
-                    # Flush a netted batch once it is full, or once no
-                    # other session can make progress (tail flush) —
-                    # transaction work and waits always drain first so a
-                    # full batch never starves a live challenge window.
-                    if parked and (len(parked) >= self.batch_size
-                                   or not waiting):
-                        self._settle_batch(parked)
-                        self._checkpoint()
-                        continue
-                    if not waiting:
-                        break
-                    target = min(s.pending.timestamp for s in waiting)
-                    self.simulator.advance_time_to(target)
-                    horizon = self.simulator.chain.next_timestamp()
-                    resumable = [s for s in waiting
-                                 if s.pending.timestamp <= horizon]
-                    for session in resumable:
-                        self._resume(session, None)
-            finally:
-                if self._pipeline is not None:
-                    self._pipeline.close()
-                    self._pipeline = None
+            while True:
+                tx_sessions = [
+                    s for s in sessions
+                    if not s.done and isinstance(s.pending, list)
+                ]
+                if tx_sessions:
+                    self._mine_round(tx_sessions)
+                    self._checkpoint()
+                    continue
+                parked = [
+                    s for s in sessions
+                    if not s.done
+                    and isinstance(s.pending, WaitForBatch)
+                ]
+                waiting = [
+                    s for s in sessions
+                    if not s.done and isinstance(s.pending, WaitUntil)
+                ]
+                # Flush a netted batch once it is full, or once no
+                # other session can make progress (tail flush) —
+                # transaction work and waits always drain first so a
+                # full batch never starves a live challenge window.
+                if parked and (len(parked) >= self.batch_size
+                               or not waiting):
+                    self._settle_batch(parked)
+                    self._checkpoint()
+                    continue
+                if not waiting:
+                    break
+                target = min(s.pending.timestamp for s in waiting)
+                self.simulator.advance_time_to(target)
+                horizon = self.simulator.chain.next_timestamp()
+                resumable = [s for s in waiting
+                             if s.pending.timestamp <= horizon]
+                for session in resumable:
+                    self._resume(session, None)
 
         if self.store is not None:
             failed = any(s.error is not None for s in sessions)
@@ -649,9 +629,7 @@ class SessionEngine:
             for session in tx_sessions:
                 session.intents = list(session.pending)
                 session.tx_hashes = []
-            if self.pipeline and len(tx_sessions) > 1:
-                self._queue_and_mine_pipelined(tx_sessions)
-            elif self.mining == "per-tx":
+            if self.mining == "per-tx":
                 # One block per transaction — the auto-mining regime.
                 for session in tx_sessions:
                     for intent in session.intents:
@@ -704,87 +682,6 @@ class SessionEngine:
             intent.sender, intent.to, data=intent.data,
             value=intent.value, gas_limit=intent.gas_limit,
         )
-
-    # -- pipelined rounds ----------------------------------------------
-
-    def _ensure_pipeline(self):
-        if self._pipeline is None:
-            from repro.core.pipeline import RoundPipeline
-
-            self._pipeline = RoundPipeline()
-        return self._pipeline
-
-    def _queue_and_mine_pipelined(self,
-                                  tx_sessions: list[_SessionState]
-                                  ) -> None:
-        """The round's queue+mine phase as a two-stage pipeline.
-
-        The round is cut into chunks of sessions; while chunk *k* is
-        admitted and mined here, chunk *k+1*'s transactions are signed
-        and sender-recovered on the :class:`RoundPipeline` workers.
-        Nonces for the whole round are fixed up front with per-sender
-        running counters — byte-identical to the serial pool-aware
-        allocation because chunking never reorders one sender's
-        transactions — and RFC-6979 makes the worker-built signatures
-        identical to the ones :meth:`_queue` would have produced, so
-        ledgers and fingerprints cannot move.
-        """
-        from repro.core.pipeline import ROUND_CHUNKS
-
-        sim = self.simulator
-        pipeline = self._ensure_pipeline()
-        nonces: dict[bytes, int] = {}
-        rows: list[tuple[_SessionState, TxIntent]] = []
-        plans: list[tuple] = []
-        for session in tx_sessions:
-            for intent in session.intents:
-                sender = intent.sender.address.value
-                if sender not in nonces:
-                    nonces[sender] = sim.get_nonce(intent.sender)
-                nonce = nonces[sender]
-                nonces[sender] = nonce + 1
-                rows.append((session, intent))
-                plans.append((
-                    intent.sender.key.secret, nonce, 1,
-                    intent.gas_limit,
-                    intent.to.value if intent.to is not None else None,
-                    intent.value, intent.data))
-        # Chunk boundaries follow session boundaries so one session's
-        # transactions always mine together, as they do serially.
-        per_chunk = -(-len(tx_sessions) // ROUND_CHUNKS)
-        bounds: list[tuple[int, int]] = []
-        row = 0
-        for start in range(0, len(tx_sessions), per_chunk):
-            size = sum(len(s.intents)
-                       for s in tx_sessions[start:start + per_chunk])
-            bounds.append((row, row + size))
-            row += size
-        handle = pipeline.submit(plans[bounds[0][0]:bounds[0][1]])
-        for index, (start, end) in enumerate(bounds):
-            prepared = pipeline.collect(handle)
-            if index + 1 < len(bounds):
-                next_start, next_end = bounds[index + 1]
-                handle = pipeline.submit(plans[next_start:next_end])
-            for offset, (v, r, s, sender) in enumerate(prepared):
-                session, intent = rows[start + offset]
-                plan = plans[start + offset]
-                tx = Transaction(
-                    nonce=plan[1], gas_price=plan[2],
-                    gas_limit=plan[3], to=intent.to,
-                    value=intent.value, data=intent.data,
-                    v=v, r=r, s=s)
-                if sender is not None:
-                    # Admission finds the cache warm; an unrecoverable
-                    # signature stays cold and raises the exact serial
-                    # error inside ``mempool.add``.
-                    tx.seed_sender(Address(sender))
-                session.tx_hashes.append(
-                    sim.send_signed_transaction(tx))
-                if self.mining == "per-tx":
-                    sim.mine(gas_limit=self.block_gas_limit)
-                    self._count(obs.names.METRIC_ENGINE_BLOCKS)
-            if self.mining != "per-tx":
-                self._mine_queued()
 
     # -- netted batch settlement ---------------------------------------
 

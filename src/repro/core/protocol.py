@@ -749,10 +749,14 @@ class OnOffChainProtocol:
         would carry it); afterwards :class:`ChallengeWindowClosed` is
         raised before anything touches the chain.  The rendered
         contract enforces the same bound with a ``require``, so even a
-        hand-crafted transaction cannot dispute late.
+        hand-crafted transaction cannot dispute late.  A session that
+        is already resolved or settled raises :class:`StageError`, also
+        before anything reaches the chain.
         """
         if self.onchain is None:
             raise StageError("no on-chain contract deployed")
+        if self.stage in (Stage.RESOLVED, Stage.SETTLED):
+            raise StageError(f"cannot dispute after {self.stage}")
         self.sync_bus_clock()
         self._require_window_open(challenger.name)
         copy = self.signed_copies.get(challenger.name)

@@ -40,7 +40,7 @@ list lives in ``docs/persistence.md``.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Optional
 
 from repro import obs

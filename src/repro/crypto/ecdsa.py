@@ -197,7 +197,7 @@ def recover_batch(items):
     point stays in Jacobian form until a single shared field inversion
     normalises the whole batch to affine.  Items whose signature cannot
     be recovered yield ``None`` in their slot instead of raising (the
-    batch must keep positional alignment for the admission layer).
+    batch keeps positional alignment with its input).
     """
     count = len(items)
     results = [None] * count

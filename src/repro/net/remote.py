@@ -54,25 +54,11 @@ class RemoteBlock:
     transactions: tuple[str, ...]
 
 
-@dataclass
-class _RemoteParallelStats:
-    """Placeholder stats: remote mining parallelism is node-side."""
-
-    lanes: int = 0
-    speculative_commits: int = 0
-    conflicts: int = 0
-    reexecutions: int = 0
-
-
 class RemoteChain:
     """The slice of :class:`Blockchain` the engine touches, by RPC."""
 
     def __init__(self, client: ChannelClient) -> None:
         self._client = client
-        #: Accepted and ignored: block execution parallelism is the
-        #: node's decision, not the remote engine's.
-        self.workers = 1
-        self.parallel_stats = _RemoteParallelStats()
 
     @property
     def latest_block(self) -> RemoteBlock:
@@ -171,17 +157,6 @@ class RemoteSimulator:
         transaction = Transaction.create_signed(
             private_key=sender.key, nonce=nonce, to=to, value=value,
             data=data, gas_limit=gas_limit, gas_price=gas_price)
-        result = self.client.call(
-            "chain.send_raw", {"tx": to_hex(transaction.encode())})
-        return from_hex(result["hash"])
-
-    def send_signed_transaction(self, transaction: Transaction) -> bytes:
-        """Queue one pre-signed transaction on the node.
-
-        The engine's pipelined rounds allocate nonces locally and sign
-        in worker processes; the node's admission (sender recovery and
-        all) is the same as for :meth:`send_transaction`.
-        """
         result = self.client.call(
             "chain.send_raw", {"tx": to_hex(transaction.encode())})
         return from_hex(result["hash"])

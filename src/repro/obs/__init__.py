@@ -102,21 +102,6 @@ def _declare_instruments(registry: MetricsRegistry) -> None:
     registry.histogram(names.METRIC_MEMPOOL_BATCH_TXS,
                        buckets=BLOCK_TX_BUCKETS,
                        help="transactions taken per pop_batch")
-    registry.counter(names.METRIC_PARALLEL_LANES,
-                     help="speculative lanes launched")
-    registry.counter(names.METRIC_PARALLEL_COMMITS,
-                     help="lanes committed speculatively")
-    registry.counter(names.METRIC_PARALLEL_CONFLICTS,
-                     help="lanes with dirty read sets at commit")
-    registry.counter(names.METRIC_PARALLEL_REEXECUTIONS,
-                     help="lanes re-executed sequentially")
-    registry.gauge(names.METRIC_PARALLEL_CONFLICT_RATE,
-                   help="re-execution fraction of last parallel block")
-    registry.counter(names.METRIC_PARALLEL_ADMISSIONS,
-                     help="senders recovered by the admission pool")
-    registry.histogram(names.METRIC_CRYPTO_BATCH_SIZE,
-                       buckets=BATCH_SIZE_BUCKETS,
-                       help="signatures per batched recovery chunk")
     registry.gauge(names.METRIC_CRYPTO_GLV_SPLITS,
                    help="GLV scalar decompositions (process-wide)")
     registry.counter(names.METRIC_PROTOCOL_STAGE_GAS,

@@ -77,9 +77,6 @@ SPAN_CHAIN_DEPLOY = "chain.deploy"
 SPAN_CHAIN_CALL = "chain.call"
 #: One mined block (covers executing every packed transaction).
 SPAN_CHAIN_MINE_BLOCK = "chain.mine_block"
-#: One parallel block apply (speculation + ordered commit), emitted
-#: inside :data:`SPAN_CHAIN_MINE_BLOCK` when ``workers > 1``.
-SPAN_CHAIN_PARALLEL_APPLY = "chain.parallel.apply"
 
 ALL_SPANS: tuple[str, ...] = (
     SPAN_SCENARIO,
@@ -108,7 +105,6 @@ ALL_SPANS: tuple[str, ...] = (
     SPAN_CHAIN_DEPLOY,
     SPAN_CHAIN_CALL,
     SPAN_CHAIN_MINE_BLOCK,
-    SPAN_CHAIN_PARALLEL_APPLY,
 )
 
 #: The four protocol stages every scenario trace must cover (the
@@ -188,27 +184,6 @@ METRIC_MEMPOOL_DEPTH = "mempool.depth"
 #: histogram — transactions taken per ``pop_batch`` call.
 METRIC_MEMPOOL_BATCH_TXS = "mempool.batch.txs"
 
-#: counter — speculative execution lanes launched by the parallel
-#: block executor (one per transaction in a parallel-applied block).
-METRIC_PARALLEL_LANES = "chain.parallel.lanes"
-#: counter — lanes whose speculative result committed as-is.
-METRIC_PARALLEL_COMMITS = "chain.parallel.speculative_commits"
-#: counter — lanes whose read set intersected an earlier transaction's
-#: write set at commit time.
-METRIC_PARALLEL_CONFLICTS = "chain.parallel.conflicts"
-#: counter — lanes re-executed sequentially on committed state
-#: (conflicts plus forced re-runs such as coinbase-balance reads).
-METRIC_PARALLEL_REEXECUTIONS = "chain.parallel.reexecutions"
-#: gauge — re-execution fraction of the last parallel block apply.
-METRIC_PARALLEL_CONFLICT_RATE = "chain.parallel.conflict_rate"
-#: counter — sender addresses recovered by the batch admission pool
-#: (parallel ECDSA recovery at ``send_transactions`` time).
-METRIC_PARALLEL_ADMISSIONS = "chain.parallel.admission_recoveries"
-
-#: histogram — signatures per batched ``recover_address_batch`` chunk
-#: submitted to the admission pool (or run inline); how well the
-#: Montgomery batch-inversion amortisation is being fed.
-METRIC_CRYPTO_BATCH_SIZE = "crypto.recover.batch_size"
 #: gauge — cumulative GLV endomorphism scalar decompositions performed
 #: by the secp256k1 kernels in this process (one per variable-base
 #: scalar multiplication on the fast path).
@@ -320,13 +295,6 @@ ALL_METRICS: tuple[str, ...] = (
     METRIC_CHAIN_FN_GAS,
     METRIC_MEMPOOL_DEPTH,
     METRIC_MEMPOOL_BATCH_TXS,
-    METRIC_PARALLEL_LANES,
-    METRIC_PARALLEL_COMMITS,
-    METRIC_PARALLEL_CONFLICTS,
-    METRIC_PARALLEL_REEXECUTIONS,
-    METRIC_PARALLEL_CONFLICT_RATE,
-    METRIC_PARALLEL_ADMISSIONS,
-    METRIC_CRYPTO_BATCH_SIZE,
     METRIC_CRYPTO_GLV_SPLITS,
     METRIC_PROTOCOL_STAGE_GAS,
     METRIC_OFFCHAIN_GAS,

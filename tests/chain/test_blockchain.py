@@ -142,3 +142,28 @@ def test_block_hash_chain_integrity():
         chain.mine_block()
     for child, parent in zip(chain.blocks[1:], chain.blocks):
         assert child.header.parent_hash == parent.hash
+
+
+def test_send_transactions_matches_per_transaction_sends():
+    keys = [PrivateKey.from_seed(f"batch-sender-{i}") for i in range(5)]
+
+    def submit(batched):
+        chain = Blockchain()
+        for key in keys:
+            chain.state.set_balance(key.address, 10 ** 20)
+        chain.state.clear_journal()
+        txs = [Transaction.create_signed(
+            private_key=key, nonce=0, to=DEST, value=1,
+            gas_limit=21_000) for key in keys]
+        if batched:
+            hashes = chain.send_transactions(txs)
+        else:
+            hashes = [chain.send_transaction(tx) for tx in txs]
+        return hashes, chain.mine_block()
+
+    one_by_one_hashes, one_by_one_block = submit(False)
+    batch_hashes, batch_block = submit(True)
+    assert batch_hashes == one_by_one_hashes
+    assert batch_block.hash == one_by_one_block.hash
+    assert batch_block.receipts == one_by_one_block.receipts
+    assert len(batch_block.transactions) == len(keys)

@@ -131,3 +131,24 @@ def test_evict_stale_returns_the_victims():
         lambda addr: 2 if addr == KEY_A.address else 0)
     assert evicted == [stale]
     assert pool.pending() == [fresh]
+
+
+def test_add_batch_verdicts_cover_all_rejection_shapes():
+    import dataclasses
+
+    from repro.crypto.secp256k1 import N
+
+    pool = Mempool()
+    first = _tx(KEY_A, 0, gas_price=5)
+    underpriced = _tx(KEY_A, 0, gas_price=4)  # lower bid: rejected
+    valid = _tx(KEY_B, 1)
+    bad = dataclasses.replace(valid, s=N - valid.s)  # EIP-2 high-s twin
+    fine = _tx(KEY_B, 0)
+    verdicts = pool.add_batch([first, underpriced, bad, fine])
+    assert [tx for tx, _ in verdicts] == [first, underpriced, bad, fine]
+    errors = [error for _, error in verdicts]
+    assert errors[0] is None
+    assert "underpriced" in errors[1]
+    assert "non-canonical" in errors[2]
+    assert errors[3] is None
+    assert len(pool) == 2

@@ -205,3 +205,73 @@ def test_copy_starts_with_empty_journal():
     clone.revert_to(marker)
     assert clone.get_balance(A) == 5
     assert state.get_balance(A) == 5
+
+
+# -- digest cache across snapshots ------------------------------------------
+
+
+def _addr(n):
+    return Address.from_int(n)
+
+
+def _fresh_root(state):
+    """Recompute the state root with every digest cache cold."""
+    clone = state.copy()
+    clone._digests.clear()
+    clone._code_hashes.clear()
+    return clone.state_root()
+
+
+def test_digest_cache_correct_across_snapshots_and_commits():
+    state = WorldState()
+    for n in range(1, 5):
+        state.set_balance(_addr(n), n * 100)
+    state.clear_journal()
+    root_before = state.state_root()  # warm the per-account digests
+
+    snap = state.snapshot()
+    state.set_balance(_addr(1), 1)
+    state.set_storage(_addr(3), 7, 42)
+    state.set_code(_addr(4), b"\x00")
+
+    committed_root = state.state_root()
+    assert committed_root != root_before
+    assert committed_root == _fresh_root(state)
+
+    # A reverted frame must leave no digest residue.
+    state.revert_to(snap)
+    assert state.state_root() == root_before
+    assert state.state_root() == _fresh_root(state)
+
+
+def test_digest_cache_interleaved_commit_revert_commit():
+    state = WorldState()
+    state.set_balance(_addr(1), 500)
+    state.clear_journal()
+    state.state_root()
+
+    outer = state.snapshot()
+    state.add_balance(_addr(1), 10)
+    inner = state.snapshot()
+    state.add_balance(_addr(1), 5)
+    assert state.get_balance(_addr(1)) == 515
+    assert state.state_root() == _fresh_root(state)
+
+    state.revert_to(inner)
+    assert state.get_balance(_addr(1)) == 510
+    assert state.state_root() == _fresh_root(state)
+
+    state.revert_to(outer)
+    assert state.get_balance(_addr(1)) == 500
+    assert state.state_root() == _fresh_root(state)
+
+
+def test_committed_write_persists_after_journal_clear():
+    state = WorldState()
+    state.set_balance(_addr(1), 100)
+    state.clear_journal()
+    state.state_root()
+    state.set_balance(_addr(1), 60)
+    state.clear_journal()  # the per-transaction commit barrier
+    assert state.get_balance(_addr(1)) == 60
+    assert state.state_root() == _fresh_root(state)

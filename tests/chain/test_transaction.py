@@ -112,3 +112,11 @@ def test_high_s_transaction_sender_rejected():
         twin.sender
     with pytest.raises(MempoolError):
         Mempool().add(twin)
+
+
+def test_seed_sender_prevents_recomputation():
+    tx = _tx()
+    wrong = PrivateKey.from_seed("seeded-sender").address
+    tx.seed_sender(wrong)
+    # cached_property serves the seeded value instead of recovering.
+    assert tx.sender == wrong

@@ -179,6 +179,35 @@ def test_second_dispute_rejected(protocol, sim, alice, bob):
             gas_limit=6_000_000)
 
 
+def test_dispute_after_resolution_raises_before_touching_chain(
+        protocol, sim, alice, bob):
+    __, plan = _through_signing(protocol, alice, bob)
+    sim.advance_time_to(plan["timeline"].t3 + 10)
+    protocol.dispute(bob)
+    assert protocol.stage is Stage.RESOLVED
+    height = sim.chain.latest_block.number
+    total = protocol.ledger.total()
+    with pytest.raises(StageError):
+        protocol.dispute(alice)
+    assert sim.chain.latest_block.number == height
+    assert protocol.ledger.total() == total
+
+
+def test_dispute_after_finalize_raises_before_touching_chain(
+        protocol, sim, alice, bob):
+    __, plan = _through_signing(protocol, alice, bob)
+    sim.advance_time_to(plan["timeline"].t2 + 10)
+    protocol.submit_result(alice)
+    protocol.finalize(bob)
+    assert protocol.stage is Stage.SETTLED
+    height = sim.chain.latest_block.number
+    total = protocol.ledger.total()
+    with pytest.raises(StageError):
+        protocol.dispute(bob)
+    assert sim.chain.latest_block.number == height
+    assert protocol.ledger.total() == total
+
+
 def test_outsider_cannot_dispute(protocol, sim, alice, bob):
     from repro.chain import TransactionFailed
 

@@ -12,7 +12,7 @@ import pytest
 from repro.evm import jit
 from repro.evm.analysis import analyze_code, clear_analysis_cache
 from repro.evm.assembler import assemble
-from repro.evm.vm import EVM, Message
+from repro.evm.vm import Message
 from tests.evm.vm_harness import CALLER, CONTRACT, make_env
 
 _LOOP = assemble("""

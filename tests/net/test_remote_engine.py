@@ -47,8 +47,7 @@ def _inproc_fingerprint(settlement: str = "direct") -> str:
 def _remote_fingerprint(faults: FaultPolicy | None = None,
                         remote_roles: tuple[str, ...] = (),
                         settlement: str = "direct",
-                        timeout: float = 2.0,
-                        pipeline: bool = False) -> str:
+                        timeout: float = 2.0) -> str:
     service = NodeService(
         simulator=EthereumSimulator(config=_config()))
     handle = ChannelServer(service.dispatch).start_in_thread()
@@ -81,7 +80,7 @@ def _remote_fingerprint(faults: FaultPolicy | None = None,
         bus = RemoteWhisperTransport(client)
         for driver in drivers:
             driver.protocol.bus = bus
-        SessionEngine(sim, drivers, pipeline=pipeline).run()
+        SessionEngine(sim, drivers).run()
         if remote_roles:
             signer.join(timeout=30.0)
             if participant_error:
@@ -111,17 +110,6 @@ def test_lossy_transport_leaves_fleet_bit_identical():
     baseline = _inproc_fingerprint()
     assert _remote_fingerprint(
         faults=FaultPolicy(**LOSSY), timeout=0.25) == baseline
-
-
-def test_pipelined_engine_over_lossy_transport_is_bit_identical():
-    """Pipelined rounds sign in background workers and submit raw
-    transactions to the node; even with the LOSSY schedule mangling
-    deliveries the fleet fingerprint must match the serial in-process
-    run exactly."""
-    baseline = _inproc_fingerprint()
-    assert _remote_fingerprint(faults=FaultPolicy(**LOSSY),
-                               timeout=0.25,
-                               pipeline=True) == baseline
 
 
 def test_netted_settlement_crosses_the_wire_identically():

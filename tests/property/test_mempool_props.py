@@ -1,73 +1,22 @@
-"""Property tests for PR 5's parallel machinery.
+"""Property test for ``Mempool.pop_batch`` batch selection.
 
-Two randomized equivalences:
-
-* the parallel block executor produces bit-identical blocks to the
-  sequential one under arbitrary disjoint/overlapping transfer
-  batches (the tentpole invariant);
-* the heap-based ``Mempool.pop_batch`` picks the same transactions in
-  the same order as the O(n²) scan-restart algorithm it replaced.
+The heap-based selection must pick the same transactions in the same
+order as the O(n²) scan-restart algorithm it replaced, which stays
+here as the oracle.
 """
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.chain import (
-    ETHER,
-    EthereumSimulator,
-    Mempool,
-    SimulatorConfig,
-    Transaction,
-)
+from repro.chain import Mempool, Transaction
 from repro.crypto.keys import PrivateKey
-
-# -- executor equivalence --------------------------------------------------
-
-_N_ACCOUNTS = 6
-
-# A transfer is (sender_index, recipient_index): repeated senders form
-# nonce chains, shared recipients and A→B→C relays form conflicts.
-_transfers = st.lists(
-    st.tuples(st.integers(0, _N_ACCOUNTS - 1),
-              st.integers(0, _N_ACCOUNTS - 1)),
-    min_size=1, max_size=8,
-).map(lambda pairs: [(s, r) for s, r in pairs if s != r]).filter(len)
-
-
-def _build(workers, transfers):
-    sim = EthereumSimulator(config=SimulatorConfig(
-        num_accounts=_N_ACCOUNTS, auto_mine=False, workers=workers,
-        parallel_processes=False))
-    for sender, recipient in transfers:
-        sim.send_transaction(sim.accounts[sender],
-                             sim.accounts[recipient].address,
-                             value=1 * ETHER, gas_limit=50_000)
-    sim.mine()
-    return sim
-
-
-@settings(max_examples=25, deadline=None)
-@given(transfers=_transfers)
-def test_parallel_blocks_bit_identical_to_sequential(transfers):
-    seq = _build(1, transfers)
-    par = _build(4, transfers)
-    assert len(seq.chain.blocks) == len(par.chain.blocks)
-    for sb, pb in zip(seq.chain.blocks, par.chain.blocks):
-        assert sb.hash == pb.hash
-        assert sb.receipts == pb.receipts
-    assert seq.chain.state.state_root() == par.chain.state.state_root()
-    stats = par.chain.parallel_stats
-    assert stats.speculative_commits + stats.reexecutions <= stats.lanes
-
-
-# -- mempool batch-selection equivalence -----------------------------------
 
 _KEYS = [PrivateKey.from_seed(f"pool-prop-{i}") for i in range(4)]
 _DEST = PrivateKey.from_seed("pool-prop-dest").address
 
 
 def _reference_pop_batch(entries, gas_limit):
-    """The pre-PR-5 scan-restart selection, kept as the oracle."""
+    """The scan-restart selection the heap replaced, kept as the oracle."""
     entries = sorted(entries)
     chosen = []
     gas_budget = gas_limit

@@ -140,11 +140,9 @@ def bench_ecdsa(cfg, repeats, warmup):
                               repeats=repeats, warmup=warmup)
 
     def run_recover_pipeline():
-        # The system workload: mempool admission recovers every sender
-        # ONCE through recover_address_batch (shared Montgomery
-        # inversions), then block processing re-reads the same senders
-        # through the memo — exactly what admission.py and processor.py
-        # do since the batch-admission change.
+        # One batch recovery of every sender through
+        # recover_address_batch (shared Montgomery inversions), then a
+        # second read of the same senders through the memo.
         from repro.crypto import keys as keys_module
         keys_module.clear_recover_cache()
         keys_module.recover_address_batch(list(zip(digests, signatures)))
@@ -673,149 +671,6 @@ def bench_storage(cfg, repeats, warmup):
     }
 
 
-def bench_parallel_block(cfg, repeats, warmup):
-    """Sequential vs parallel apply of a disjoint-session block stream.
-
-    Pre-signs ``parallel_sessions`` senders × ``parallel_rounds``
-    transactions once, then replays the identical stream on a fresh
-    sequential chain (``workers=1``) and a fresh parallel chain
-    (``workers=parallel_workers``, forked lanes).  The block hashes
-    and total gas must be bit-identical — divergence exits with
-    status 2, the same severity as any other gas-determinism break.
-
-    Speedup is honest wall-clock: on a single-core host the forked
-    lanes cannot beat sequential apply (the report records
-    ``cpu_count`` so readers can interpret the number); on a
-    multi-core host the disjoint stream is embarrassingly parallel.
-    """
-    import os
-
-    from repro.chain.blockchain import Blockchain
-    from repro.chain.transaction import Transaction
-    from repro.crypto.keys import PrivateKey
-
-    sessions = cfg["parallel_sessions"]
-    rounds = cfg["parallel_rounds"]
-    workers = cfg["parallel_workers"]
-    funding = 10**20
-
-    senders = [PrivateKey.from_seed(f"parbench-sender-{i}")
-               for i in range(sessions)]
-    recipients = [PrivateKey.from_seed(f"parbench-recipient-{i}").address
-                  for i in range(sessions)]
-    # One tx per session per round; within a round every (sender,
-    # recipient) pair is disjoint, so an ideal executor never
-    # conflicts.  Signed once; sender caches warm up on the first
-    # replay and are shared by both chains (same objects).
-    stream = [
-        [Transaction.create_signed(
-            private_key=senders[i], nonce=r, to=recipients[i],
-            value=1, gas_limit=21_000)
-         for i in range(sessions)]
-        for r in range(rounds)
-    ]
-    for batch in stream:
-        for tx in batch:
-            tx.sender  # warm every cache outside the timed region
-
-    def replay(n_workers):
-        chain = Blockchain(workers=n_workers,
-                           block_gas_limit=21_000 * sessions)
-        for key in senders:
-            chain.state.set_balance(key.address, funding)
-        chain.state.clear_journal()
-        blocks = []
-        for batch in stream:
-            chain.send_transactions(batch)
-            blocks.append(chain.mine_block())
-        assert all(len(b.transactions) == sessions for b in blocks)
-        # The persistent pools fork at the first parallel block and
-        # live until released; their lifetime is inside the timed
-        # region on purpose (that is the cost a node pays), but they
-        # must not outlive the replay.
-        chain.close_workers()
-        return chain, blocks
-
-    best_seq, (seq_chain, seq_blocks) = _best_of(
-        lambda: replay(1), repeats=repeats, warmup=warmup)
-    best_par, (par_chain, par_blocks) = _best_of(
-        lambda: replay(workers), repeats=repeats, warmup=warmup)
-
-    seq_hashes = [b.hash.hex() for b in seq_blocks]
-    par_hashes = [b.hash.hex() for b in par_blocks]
-    if seq_hashes != par_hashes:
-        print("FATAL: parallel block apply diverged from sequential:")
-        print(json.dumps({"sequential": seq_hashes,
-                          "parallel": par_hashes}, indent=2))
-        raise SystemExit(2)
-    total_gas = seq_chain.total_gas_used()
-    if total_gas != par_chain.total_gas_used():
-        print("FATAL: parallel executor changed total gas")
-        raise SystemExit(2)
-
-    txs = sessions * rounds
-    stats = par_chain.parallel_stats
-    cpu_count = os.cpu_count() or 1
-    if cpu_count >= 2:
-        speedup_entry = {
-            "value": best_seq / best_par,
-            "unit": "x",
-            "sessions": sessions,
-            "cpu_count": cpu_count,
-            "note": "sequential wall / parallel wall (same stream, "
-                    "bit-identical blocks enforced)",
-        }
-    else:
-        # One core cannot demonstrate multicore speedup; a sub-1.0x
-        # number here would read as a code regression when it only
-        # describes the host.  The bit-identity gate above still ran.
-        speedup_entry = {
-            "value": None,
-            "unit": "x",
-            "sessions": sessions,
-            "cpu_count": cpu_count,
-            "skip_reason": f"host has cpu_count={cpu_count} < 2; "
-                           "wall-clock speedup is not meaningful",
-            "note": "bit-identity between executors was still "
-                    "enforced (exit 2 on divergence)",
-        }
-    return {
-        "parallel_block_seq": {
-            "value": txs / best_seq,
-            "unit": "ops/s",
-            "wall_s": best_seq,
-            "sessions": sessions,
-            "note": f"{sessions}-session disjoint stream, {rounds} "
-                    "blocks, workers=1 (the sequential baseline)",
-        },
-        "parallel_block_par": {
-            "value": txs / best_par,
-            "unit": "ops/s",
-            "wall_s": best_par,
-            "sessions": sessions,
-            "workers": workers,
-            "cpu_count": cpu_count,
-            "note": f"same stream, workers={workers} persistent "
-                    "forked lanes; interpret against cpu_count",
-        },
-        "parallel_block_speedup": speedup_entry,
-        "parallel_block_conflict_rate": {
-            "value": stats.conflict_rate,
-            "unit": "fraction",
-            "lanes": stats.lanes,
-            "reexecutions": stats.reexecutions,
-            "note": "re-executed fraction of speculative lanes "
-                    "(0.0 expected on a disjoint stream)",
-        },
-        "parallel_block_gas": {
-            "value": total_gas,
-            "unit": "gas",
-            "note": "identical between executors by construction "
-                    "(enforced with exit 2 above)",
-        },
-    }
-
-
 def bench_network(cfg, repeats, warmup):
     """The networked off-chain layer: throughput, latency, identity.
 
@@ -983,7 +838,7 @@ def bench_network(cfg, repeats, warmup):
 def bench_hotpath(cfg, repeats, warmup):
     """Post-JIT hot-path kernels vs their retained reference oracles.
 
-    Three paired measurements, each comparing an optimised kernel with
+    Two paired measurements, each comparing an optimised kernel with
     the reference implementation it replaced (kept in-tree exactly so
     this gate can exist):
 
@@ -999,16 +854,7 @@ def bench_hotpath(cfg, repeats, warmup):
        Recovered points must be identical (exit 2); full runs enforce
        a >= 1.35x floor (exit 1) against a ~1.75x pure-Python ceiling
        (the 130-doubling tail and ``lift_x`` sqrt are shared).
-    3. **pipelined rounds** — a betting fleet run with
-       ``pipeline=True`` (chunk k+1 signs/recovers in workers while
-       chunk k mines) must land on the same fleet fingerprint as the
-       serial run, bit for bit (exit 2).  The wall-clock speedup is
-       reported like ``parallel_block_speedup``: on a <2-core host it
-       is skipped with a ``skip_reason`` rather than reported as a
-       fake regression; the identity gate still runs.
     """
-    import os
-
     from repro.crypto import secp256k1
     from repro.crypto import keccak as keccak_mod
     from repro.crypto.ecdsa import recover_batch
@@ -1088,60 +934,6 @@ def bench_hotpath(cfg, repeats, warmup):
               "fell below the 1.35x floor vs the reference ladder")
         raise SystemExit(1)
 
-    # -- 3. pipelined engine rounds: fingerprint identity + speedup.
-    from repro.chain import EthereumSimulator, SimulatorConfig
-    from repro.core import SessionEngine, fleet_fingerprint, spawn_fleet
-
-    sessions = cfg["hotpath_sessions"]
-
-    def fleet(pipeline):
-        sim = EthereumSimulator(config=SimulatorConfig(
-            num_accounts=2, auto_mine=False))
-        drivers = spawn_fleet(sim, sessions, app="betting")
-        try:
-            SessionEngine(sim, drivers, mining="batch",
-                          pipeline=pipeline).run()
-        finally:
-            sim.chain.close_workers()
-        return fleet_fingerprint(drivers)
-
-    best_serial, serial_print = _best_of(lambda: fleet(False),
-                                         repeats=repeats, warmup=warmup)
-    best_piped, piped_print = _best_of(lambda: fleet(True),
-                                       repeats=repeats, warmup=warmup)
-    if piped_print != serial_print:
-        print("FATAL: pipelined fleet fingerprint diverged from the "
-              "serial run:")
-        print(json.dumps({"serial": serial_print,
-                          "pipelined": piped_print}, indent=2))
-        raise SystemExit(2)
-
-    cpu_count = os.cpu_count() or 1
-    if cpu_count >= 2:
-        pipeline_speedup_entry = {
-            "value": best_serial / best_piped,
-            "unit": "x",
-            "sessions": sessions,
-            "cpu_count": cpu_count,
-            "note": "serial wall / pipelined wall (same fleet, "
-                    "fingerprint gated bit-identical)",
-        }
-    else:
-        # Signing workers share the lone core with the miner; a
-        # sub-1.0x number would describe the host, not the code.
-        # The fingerprint identity gate above still ran.
-        pipeline_speedup_entry = {
-            "value": None,
-            "unit": "x",
-            "sessions": sessions,
-            "cpu_count": cpu_count,
-            "skip_reason": f"host has cpu_count={cpu_count} < 2; "
-                           "overlap needs a second core to show up "
-                           "in wall-clock",
-            "note": "fingerprint identity between serial and "
-                    "pipelined runs was still enforced (exit 2)",
-        }
-
     return {
         "hotpath_keccak_kernel": {
             "value": rounds * len(blob) / best_kfast,
@@ -1183,24 +975,6 @@ def bench_hotpath(cfg, repeats, warmup):
                     "pure-Python ceiling (shared doubling tail + "
                     "lift_x sqrt)",
         },
-        "hotpath_pipeline_serial": {
-            "value": sessions / best_serial,
-            "unit": "sessions/s",
-            "wall_s": best_serial,
-            "sessions": sessions,
-            "note": f"{sessions}-session betting fleet, serial rounds",
-        },
-        "hotpath_pipeline": {
-            "value": sessions / best_piped,
-            "unit": "sessions/s",
-            "wall_s": best_piped,
-            "sessions": sessions,
-            "cpu_count": cpu_count,
-            "note": "same fleet with pipeline=True: chunk k+1 signs "
-                    "in workers while chunk k mines; interpret "
-                    "against cpu_count",
-        },
-        "hotpath_pipeline_speedup": pipeline_speedup_entry,
     }
 
 
@@ -1301,14 +1075,10 @@ FULL_CONFIG = {
     "ecdsa_count": 12,
     "evm_iterations": 20_000,
     "fleet_sessions": 100,
-    "parallel_sessions": 100,
-    "parallel_rounds": 3,
-    "parallel_workers": 4,
     "netting_sessions": 100,
     "netting_batch": 100,
     "storage_sessions": 40,
     "network_sessions": 12,
-    "hotpath_sessions": 20,
 }
 
 SMOKE_CONFIG = {
@@ -1316,14 +1086,10 @@ SMOKE_CONFIG = {
     "ecdsa_count": 3,
     "evm_iterations": 2_000,
     "fleet_sessions": 5,
-    "parallel_sessions": 8,
-    "parallel_rounds": 2,
-    "parallel_workers": 4,
     "netting_sessions": 8,
     "netting_batch": 8,
     "storage_sessions": 4,
     "network_sessions": 3,
-    "hotpath_sessions": 4,
 }
 
 
@@ -1366,7 +1132,7 @@ def main(argv: list[str] | None = None) -> int:
     results: dict = {}
     for bench in (bench_keccak, bench_ecdsa, bench_evm, bench_table2,
                   bench_adversarial_dispute, bench_multi_session,
-                  bench_netting, bench_parallel_block, bench_storage,
+                  bench_netting, bench_storage,
                   bench_network, bench_hotpath):
         if args.profile:
             import cProfile
@@ -1389,9 +1155,7 @@ def main(argv: list[str] | None = None) -> int:
         for name, entry in produced.items():
             results[name] = entry
             unit = entry["unit"]
-            if entry["value"] is None:
-                shown = f"skipped ({entry['skip_reason']})"
-            elif unit == "gas":
+            if unit == "gas":
                 shown = f"{entry['value']:,}"
             elif unit == "seconds":
                 shown, unit = f"{entry['value'] * 1000:,.2f}", "ms"
