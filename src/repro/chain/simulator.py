@@ -9,7 +9,6 @@ own block, which keeps receipts immediate and tests deterministic.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import Any, Optional, Sequence
 
@@ -154,33 +153,10 @@ class SimAccount:
 class EthereumSimulator:
     """Single-node test chain with funded accounts and auto-mining."""
 
-    def __init__(self, num_accounts: Optional[int] = None,
-                 funding: Optional[int] = None,
-                 auto_mine: Optional[bool] = None,
-                 genesis_timestamp: Optional[int] = None, *,
+    def __init__(self, *,
                  config: Optional[SimulatorConfig] = None) -> None:
-        legacy = {
-            name: value for name, value in (
-                ("num_accounts", num_accounts),
-                ("funding", funding),
-                ("auto_mine", auto_mine),
-                ("genesis_timestamp", genesis_timestamp),
-            ) if value is not None
-        }
-        if config is not None and legacy:
-            raise TypeError(
-                "pass either config=SimulatorConfig(...) or the legacy "
-                f"arguments, not both: {sorted(legacy)}"
-            )
         if config is None:
-            if legacy:
-                warnings.warn(
-                    "EthereumSimulator(num_accounts, funding, auto_mine, "
-                    "genesis_timestamp) is deprecated; use "
-                    "EthereumSimulator(config=SimulatorConfig(...))",
-                    DeprecationWarning, stacklevel=2,
-                )
-            config = SimulatorConfig(**legacy)
+            config = SimulatorConfig()
         self.config = config
         self.chain = Blockchain(
             genesis_timestamp=config.genesis_timestamp,

@@ -5,25 +5,22 @@ and Ethereum.  Points are represented as affine ``(x, y)`` tuples with
 ``None`` denoting the point at infinity; scalar multiplication uses
 Jacobian coordinates internally for speed.
 
-Three scalar-multiplication strategies coexist:
+Two scalar-multiplication strategies coexist:
 
 * :func:`scalar_mult_naive` — the reference binary double-and-add
-  ladder, kept as the oracle for the fast-path property tests;
-* the pre-GLV fast path — a windowed fixed-base comb for the generator
-  plus a width-4 windowed ladder for arbitrary points, retained as
-  :func:`_double_scalar_mult_base_reference` (the in-process speedup
-  baseline for ``bench_hotpath`` and the fallback for off-curve
-  inputs, where the endomorphism identity does not hold);
-* the production path — GLV endomorphism decomposition.  secp256k1
-  has an efficiently computable endomorphism ``φ(x, y) = (β·x, y)``
-  with ``φ(Q) = λ·Q``, so any scalar ``k`` splits into
-  ``k ≡ k1 + k2·λ (mod N)`` with ``|k1|, |k2| ≈ √N``.  ``k·Q`` then
-  runs a Straus/Shamir ladder over the two ~128-bit halves (sharing
-  doublings) with width-4 wNAF digit recoding over a shared
-  odd-multiple table — the φ half's table is the base table with each
-  x-coordinate scaled by β, eight field multiplications total.  The
-  generator half of ``u1*G + u2*Q`` (the ECDSA verify/recover shape)
-  still rides the fixed-base comb for additions only, and
+  ladder: the oracle for the fast-path property tests, and the path
+  for off-curve inputs, where the endomorphism identity does not hold;
+* the production path — an 8-bit fixed-base comb for the generator
+  and GLV endomorphism decomposition for every other point.
+  secp256k1 has an efficiently computable endomorphism
+  ``φ(x, y) = (β·x, y)`` with ``φ(Q) = λ·Q``, so any scalar ``k``
+  splits into ``k ≡ k1 + k2·λ (mod N)`` with ``|k1|, |k2| ≈ √N``.
+  ``k·Q`` then runs a Straus/Shamir ladder over the two ~128-bit
+  halves (sharing doublings) with width-4 wNAF digit recoding over a
+  shared odd-multiple table — the φ half's table is the base table
+  with each x-coordinate scaled by β, eight field multiplications
+  total.  The generator half of ``u1*G + u2*Q`` (the ECDSA
+  verify/recover shape) rides the comb for additions only, and
   :func:`batch_inverse` / :func:`batch_normalize` expose Montgomery's
   shared-inversion trick so batch callers (``recover_batch``) pay one
   field inversion per *batch* instead of per point.
@@ -137,7 +134,8 @@ def scalar_mult_naive(k: int, point: AffinePoint = G) -> AffinePoint:
     """Return ``k * point`` using binary double-and-add (reference).
 
     This is the original unoptimised ladder, kept as the oracle the
-    property tests cross-check the windowed fast paths against.
+    property tests cross-check the fast paths against, and the path
+    :func:`scalar_mult` takes for off-curve points.
     """
     k %= N
     if k == 0 or point is None:
@@ -153,16 +151,8 @@ def scalar_mult_naive(k: int, point: AffinePoint = G) -> AffinePoint:
 
 
 # ---------------------------------------------------------------------------
-# Windowed fast paths
+# Fixed-base comb
 # ---------------------------------------------------------------------------
-
-_WINDOW_BITS = 4
-_WINDOW_MASK = (1 << _WINDOW_BITS) - 1
-_BASE_WINDOWS = 256 // _WINDOW_BITS  # 64 nibbles cover any scalar < 2^256
-
-#: Lazily built fixed-base table: ``_BASE_TABLE[i][j-1] == j * 16^i * G``
-#: in affine coordinates, for ``i`` in [0, 64) and ``j`` in [1, 15].
-_BASE_TABLE: Optional[list] = None
 
 
 def _jacobian_add_affine(p: _JacobianPoint,
@@ -214,52 +204,8 @@ def _batch_normalize(points: list) -> list:
     return affine
 
 
-def _build_base_table() -> list:
-    """Precompute the 64x15 fixed-base window table for G."""
-    jacobian_rows = []
-    window_base: _JacobianPoint = (GX, GY, 1)
-    for __ in range(_BASE_WINDOWS):
-        row = []
-        current = window_base
-        for __ in range(_WINDOW_MASK):
-            row.append(current)
-            current = _jacobian_add(current, window_base)
-        jacobian_rows.append(row)
-        window_base = current  # == 16 * previous window base
-    flat = [entry for row in jacobian_rows for entry in row]
-    affine = _batch_normalize(flat)
-    return [affine[index * _WINDOW_MASK:(index + 1) * _WINDOW_MASK]
-            for index in range(_BASE_WINDOWS)]
-
-
-def _base_table() -> list:
-    global _BASE_TABLE
-    if _BASE_TABLE is None:
-        _BASE_TABLE = _build_base_table()
-    return _BASE_TABLE
-
-
-def _base_mult_j(k: int) -> _JacobianPoint:
-    """``k * G`` in Jacobian form via the 4-bit fixed-base comb.
-
-    The pre-GLV comb, retained for the reference path; production code
-    uses the wider :func:`_base_mult8_j`.
-    """
-    table = _base_table()
-    accumulator = _INFINITY_J
-    window = 0
-    while k:
-        digit = k & _WINDOW_MASK
-        if digit:
-            accumulator = _jacobian_add_affine(
-                accumulator, table[window][digit - 1])
-        k >>= _WINDOW_BITS
-        window += 1
-    return accumulator
-
-
 # 8-bit fixed-base comb: ``_BASE_TABLE8[i][j-1] == j * 256^i * G``, so
-# ``k*G`` costs at most 32 mixed additions (half the 4-bit comb's 64).
+# ``k*G`` costs at most 32 mixed additions and no doublings.
 # 32 windows x 255 entries = 8160 affine points, built lazily in ~tens
 # of milliseconds with one shared inversion and ~0.6 MB retained.
 _BASE8_WINDOWS = 256 // 8
@@ -303,29 +249,6 @@ def _base_mult8_j(k: int) -> _JacobianPoint:
             accumulator = add_affine(accumulator, table[window][digit - 1])
         k >>= 8
         window += 1
-    return accumulator
-
-
-def _windowed_mult_j(k: int, point: Tuple[int, int]) -> _JacobianPoint:
-    """``k * point`` in Jacobian form, width-4 window (k in [1, N))."""
-    base_j: _JacobianPoint = (point[0], point[1], 1)
-    multiples = [base_j]
-    for __ in range(_WINDOW_MASK - 1):
-        multiples.append(_jacobian_add(multiples[-1], base_j))
-    affine = _batch_normalize(multiples)
-
-    nibbles = []
-    while k:
-        nibbles.append(k & _WINDOW_MASK)
-        k >>= _WINDOW_BITS
-    accumulator = _INFINITY_J
-    double = _jacobian_double
-    for digit in reversed(nibbles):
-        if accumulator[2]:
-            accumulator = double(double(double(double(accumulator))))
-        if digit:
-            accumulator = _jacobian_add_affine(
-                accumulator, affine[digit - 1])
     return accumulator
 
 
@@ -472,10 +395,10 @@ def scalar_mult(k: int, point: AffinePoint = G) -> AffinePoint:
     """Return ``k * point``.
 
     Dispatches to the fixed-base comb when ``point`` is the generator,
-    the GLV/wNAF ladder for on-curve points, and the width-4 windowed
-    ladder for off-curve inputs (the endomorphism identity only holds
-    on the curve); all agree with :func:`scalar_mult_naive` on every
-    input (property-tested).
+    the GLV/wNAF ladder for on-curve points, and
+    :func:`scalar_mult_naive` for off-curve inputs (the endomorphism
+    identity only holds on the curve); the fast paths agree with the
+    naive ladder on every input (property-tested).
     """
     k %= N
     if k == 0 or point is None:
@@ -484,13 +407,7 @@ def scalar_mult(k: int, point: AffinePoint = G) -> AffinePoint:
         return _from_jacobian(_base_mult8_j(k))
     if is_on_curve(point):
         return _from_jacobian(_glv_mult_j(k, point))
-    try:
-        return _from_jacobian(_windowed_mult_j(k, point))
-    except ValueError:
-        # Degenerate off-curve input produced a non-invertible z during
-        # table normalisation; the reference ladder handles it bit-for-
-        # bit like the historical implementation did.
-        return scalar_mult_naive(k, point)
+    return scalar_mult_naive(k, point)
 
 
 def double_scalar_mult_base_j(u1: int, u2: int,
@@ -518,32 +435,12 @@ def double_scalar_mult_base(u1: int, u2: int,
     The generator half comes from the fixed-base comb (additions only),
     the variable half from the GLV/wNAF ladder; one Jacobian addition
     joins them, and only the final result pays an affine conversion.
-    Off-curve points fall back to the retained pre-GLV reference path.
+    An off-curve ``point`` takes :func:`scalar_mult_naive` for the
+    variable half instead.
     """
     if point is not None and not is_on_curve(point):
-        return _double_scalar_mult_base_reference(u1, u2, point)
+        return point_add(scalar_mult(u1), scalar_mult_naive(u2, point))
     return _from_jacobian(double_scalar_mult_base_j(u1, u2, point))
-
-
-def _double_scalar_mult_base_reference(u1: int, u2: int,
-                                       point: AffinePoint) -> AffinePoint:
-    """The pre-GLV comb + width-4 window path, retained verbatim.
-
-    Serves three roles: the differential-test oracle for the GLV path,
-    the in-process speedup baseline for ``bench_hotpath``'s
-    ``ecdsa_recover`` gate, and the dispatch target for off-curve
-    points where the endomorphism does not apply.
-    """
-    u1 %= N
-    u2 %= N
-    accumulator = _base_mult_j(u1) if u1 else _INFINITY_J
-    if u2 and point is not None:
-        try:
-            variable = _windowed_mult_j(u2, point)
-        except ValueError:
-            variable = _to_jacobian(scalar_mult_naive(u2, point))
-        accumulator = _jacobian_add(accumulator, variable)
-    return _from_jacobian(accumulator)
 
 
 def batch_inverse(values: list, modulus: int = P) -> list:

@@ -1,4 +1,4 @@
-"""SimulatorConfig construction and the legacy-signature shim."""
+"""SimulatorConfig construction: the only way to configure a simulator."""
 
 from __future__ import annotations
 
@@ -26,22 +26,15 @@ def test_default_construction_emits_no_warning():
     assert sim.auto_mine
 
 
-def test_legacy_positional_arguments_still_work_but_warn():
-    with pytest.warns(DeprecationWarning, match="SimulatorConfig"):
-        sim = EthereumSimulator(3, 5 * ETHER, False)
-    assert len(sim.accounts) == 3
-    assert sim.get_balance(sim.accounts[1]) == 5 * ETHER
-    assert not sim.auto_mine
-
-
-def test_legacy_keyword_arguments_still_work_but_warn():
-    with pytest.warns(DeprecationWarning):
-        sim = EthereumSimulator(genesis_timestamp=1_600_000_000)
-    assert sim.current_timestamp == 1_600_000_000
+def test_legacy_arguments_raise_type_error():
+    with pytest.raises(TypeError):
+        EthereumSimulator(3, 5 * ETHER, False)
+    with pytest.raises(TypeError, match="genesis_timestamp"):
+        EthereumSimulator(genesis_timestamp=1_600_000_000)
 
 
 def test_mixing_config_and_legacy_arguments_is_an_error():
-    with pytest.raises(TypeError, match="not both"):
+    with pytest.raises(TypeError, match="num_accounts"):
         EthereumSimulator(num_accounts=2,
                           config=SimulatorConfig(num_accounts=5))
 

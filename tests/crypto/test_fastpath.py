@@ -1,8 +1,9 @@
-"""Property tests for the PR 3 scalar-multiplication fast paths.
+"""Property tests for the scalar-multiplication fast paths.
 
-The windowed fixed-base comb and the Straus/Shamir double-scalar path
-must agree with the reference double-and-add ladder on every input:
-random scalars, the curve-order edge cases and the point at infinity.
+The fixed-base comb, the GLV ladder and the double-scalar path must
+agree with the reference double-and-add ladder on every input: random
+scalars, the curve-order edge cases, the point at infinity and
+off-curve points.
 """
 
 import random
@@ -12,6 +13,8 @@ import pytest
 from repro.crypto import ecdsa, secp256k1
 from repro.crypto.keys import PrivateKey, recover_address
 from repro.crypto.secp256k1 import (
+    GX,
+    GY,
     G,
     N,
     double_scalar_mult_base,
@@ -77,6 +80,19 @@ def test_double_scalar_degenerate_inputs():
     assert double_scalar_mult_base(7, 9, None) == scalar_mult_naive(7)
     # u1*G + u2*Q == infinity when the halves cancel.
     assert double_scalar_mult_base(5, N - 5, G) is None
+
+
+@pytest.mark.parametrize("point", [(1, 2), (GX, GY + 1)])
+def test_off_curve_points_take_the_naive_ladder(point):
+    # The GLV endomorphism identity only holds on the curve, so
+    # off-curve inputs must come out exactly as the naive ladder has it.
+    assert not secp256k1.is_on_curve(point)
+    for k in (1, 2, 15, 16, N - 1, _RNG.randrange(1, N)):
+        naive = scalar_mult_naive(k, point)
+        assert scalar_mult(k, point) == naive
+        u1 = _RNG.randrange(0, N)
+        assert double_scalar_mult_base(u1, k, point) == point_add(
+            scalar_mult_naive(u1), naive)
 
 
 def test_sign_verify_recover_round_trip():

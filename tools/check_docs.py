@@ -13,9 +13,11 @@ Four checks, all fatal:
 3. **CLI flag contract** — every ``--flag`` the ``repro`` argument
    parser defines must be mentioned in at least one tracked markdown
    file, and every ``--flag`` appearing on a ``repro`` command line in
-   the docs must exist in ``src/repro/cli.py``.  Drift here exits 2
-   (distinct from the generic failure exit 1) so CI can tell a stale
-   doc from a broken one.
+   the docs must exist in ``src/repro/cli.py``.  The history files
+   (``CHANGES.md``, ``ISSUE.md``, ``ROADMAP.md``) are not live docs
+   and count neither way.  Drift here exits 2 (distinct from the
+   generic failure exit 1) so CI can tell a stale doc from a broken
+   one.
 4. **Docstrings** — the pydocstyle ``D1`` subset (D100–D104) over
    ``src/repro``: every public module, package, class, function and
    method needs a docstring.  Magic methods (D105) and ``__init__``
@@ -99,6 +101,10 @@ def check_telemetry_contract() -> list[str]:
     ]
 
 
+#: Changelog and planning files at the repository root: they record
+#: flags that were removed or not yet built, so they are not CLI docs.
+_HISTORY_FILES = {"CHANGES.md", "ISSUE.md", "ROADMAP.md"}
+
 _FLAG = re.compile(r"(?<![\w-])--[a-z][a-z0-9-]*")
 _INLINE_CODE = re.compile(r"`([^`\n]+)`")
 _REPRO_COMMAND = re.compile(r"\brepro\s")
@@ -148,14 +154,17 @@ def _documented_flag_usage() -> tuple[set[str], dict[str, list[str]]]:
     Returns ``(mentioned, used)`` where ``mentioned`` is every
     ``--flag`` token in any tracked markdown file (prose or code) and
     ``used`` maps each flag appearing inside a code segment that
-    invokes ``repro`` to the docs using it.
+    invokes ``repro`` to the docs using it.  The history files are
+    skipped.
     """
     mentioned: set[str] = set()
     used: dict[str, list[str]] = {}
     for md in _markdown_files():
+        where = str(md.relative_to(REPO))
+        if where in _HISTORY_FILES:
+            continue
         text = md.read_text(encoding="utf-8")
         mentioned.update(_FLAG.findall(text))
-        where = str(md.relative_to(REPO))
         for segment in _repro_segments(text):
             for flag in _FLAG.findall(segment):
                 spots = used.setdefault(flag, [])
