@@ -26,9 +26,12 @@ def test_default_construction_emits_no_warning():
     assert sim.auto_mine
 
 
-def test_legacy_arguments_raise_type_error():
+def test_legacy_positional_arguments_raise_type_error():
     with pytest.raises(TypeError):
         EthereumSimulator(3, 5 * ETHER, False)
+
+
+def test_legacy_keyword_arguments_raise_type_error():
     with pytest.raises(TypeError, match="genesis_timestamp"):
         EthereumSimulator(genesis_timestamp=1_600_000_000)
 

@@ -44,7 +44,7 @@ def test_a_flag_named_only_in_history_files_is_undocumented(check_docs,
                                                            tmp_path):
     cli_doc = tmp_path / "docs" / "cli.md"
     cli_doc.write_text(cli_doc.read_text().replace("--resume", ""))
-    for name in ("CHANGES.md", "ISSUE.md", "ROADMAP.md"):
+    for name in ("CHANGES.md", "ROADMAP.md"):
         (tmp_path / name).write_text("`repro engine --resume`\n")
     assert check_docs.check_cli_flags() == [
         "src/repro/cli.py: flag --resume is undocumented "

@@ -14,8 +14,8 @@ Four checks, all fatal:
    parser defines must be mentioned in at least one tracked markdown
    file, and every ``--flag`` appearing on a ``repro`` command line in
    the docs must exist in ``src/repro/cli.py``.  The history files
-   (``CHANGES.md``, ``ISSUE.md``, ``ROADMAP.md``) are not live docs
-   and count neither way.  Drift here exits 2 (distinct from the
+   (``CHANGES.md``, ``ROADMAP.md``) are not live docs and count
+   neither way.  Drift here exits 2 (distinct from the
    generic failure exit 1) so CI can tell a stale doc from a broken
    one.
 4. **Docstrings** — the pydocstyle ``D1`` subset (D100–D104) over
@@ -103,7 +103,7 @@ def check_telemetry_contract() -> list[str]:
 
 #: Changelog and planning files at the repository root: they record
 #: flags that were removed or not yet built, so they are not CLI docs.
-_HISTORY_FILES = {"CHANGES.md", "ISSUE.md", "ROADMAP.md"}
+_HISTORY_FILES = {"CHANGES.md", "ROADMAP.md"}
 
 _FLAG = re.compile(r"(?<![\w-])--[a-z][a-z0-9-]*")
 _INLINE_CODE = re.compile(r"`([^`\n]+)`")
